@@ -62,18 +62,26 @@ func TestFastForwardMatchesEveryCycle(t *testing.T) {
 // batched transfers, eager evictions — against cycle skipping: a prefetch
 // issued on a skipped-to cycle must land exactly where every-cycle
 // ticking would put it.
+//
+// Fault-parked SMs let the horizon jump over their refused retries, and
+// advanceCycle adds the skipped ones to uvm_replays — but only where the
+// head's crossbar queue has room, since a full queue refuses the retry
+// before it reaches the tier. The shallow-crossbar cell (depth 1) keeps
+// queues full often enough to pin that rule.
 func TestFastForwardMatchesEveryCycleOversubscribed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus of full simulations; skipped in -short")
 	}
 	cells := []struct {
-		scheme   string
-		prefetch string
+		scheme    string
+		prefetch  string
+		xbarDepth int
 	}{
-		{"Baseline", ""},
-		{"SHM", ""},
-		{"SHM", "stride"},
-		{"SHM", "stream"},
+		{"Baseline", "", 0},
+		{"SHM", "", 0},
+		{"SHM", "stride", 0},
+		{"SHM", "stream", 0},
+		{"SHM", "", 1},
 	}
 	for _, c := range cells {
 		c := c
@@ -81,9 +89,15 @@ func TestFastForwardMatchesEveryCycleOversubscribed(t *testing.T) {
 		if c.prefetch != "" {
 			name += "_" + c.prefetch
 		}
+		if c.xbarDepth != 0 {
+			name += fmt.Sprintf("_xbar%d", c.xbarDepth)
+		}
 		t.Run(name, func(t *testing.T) {
 			cfg := oversubQuickConfig(0.5)
 			cfg.UVMPrefetch = c.prefetch
+			if c.xbarDepth != 0 {
+				cfg.XbarQueueDepth = c.xbarDepth
+			}
 			ff := testutil.RunCellCfg(t, cfg, "atax", c.scheme, 1)
 			cfg.DisableFastForward = true
 			ref := testutil.RunCellCfg(t, cfg, "atax", c.scheme, 1)

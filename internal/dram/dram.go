@@ -9,13 +9,36 @@
 // bus for SectorBytes/BytesPerCycle cycles, so sustained throughput
 // converges to the configured bytes-per-cycle figure regardless of request
 // mix, while row hits/misses shape latency.
+//
+// The scheduler is event-driven. Queued requests live in a fixed pool of
+// QueueDepth slots, linked per bank in enqueue order and stamped with a
+// per-channel sequence number. Enqueue arrival times never decrease along
+// the sequence (the MEE enqueues off a monotonic clock; an invariant check
+// enforces it), so "oldest, ties broken by queue position" is "lowest
+// sequence number", and picking the next request only visits the heads of
+// banks that are free instead of every queued request.
+//
+// Completions are a FIFO in issue order. A request's done cycle is
+// ceil(busFreeFP/256) right after its transfer is reserved, and busFreeFP
+// never decreases, so done cycles are non-decreasing in issue order and
+// the FIFO head is always the earliest completion. Equal-cycle completions
+// are returned in issue order. With a bus of at most 32 B/cycle
+// (BytesPerCycleFP <= 8192) every transfer occupies at least one whole
+// cycle and done cycles strictly increase, so no two completions share a
+// cycle at all; every configuration in the repository uses 4759.
+//
+// Tick keeps a wake cycle — the earliest cycle at which a busy bank with
+// queued work frees or the completion head matures — and returns at once
+// before it. Enqueue resets it.
 package dram
 
 import (
 	"fmt"
+	"math/bits"
 
 	"shmgpu/internal/invariant"
 	"shmgpu/internal/memdef"
+	"shmgpu/internal/ringbuf"
 	"shmgpu/internal/stats"
 	"shmgpu/internal/telemetry"
 )
@@ -79,69 +102,20 @@ type Req struct {
 	Token uint64
 }
 
+// pendingReq is one slot of the request pool. While queued it is linked
+// into its bank's list through next; while free, into the free list.
 type pendingReq struct {
 	Req
 	arrival uint64
-	bank    int
+	seq     uint64
 	row     uint64
+	bank    int32
+	next    int32 // next slot in the same list, or -1
 }
 
 type completion struct {
 	req   Req
 	cycle uint64
-}
-
-// completionHeap is a binary min-heap on completion cycle. The sift
-// routines mirror container/heap's up/down exactly (same comparisons, same
-// swaps) so the pop order of equal-cycle completions is unchanged from the
-// previous container/heap implementation — that tie order reaches the MEE
-// and is observable in results. Specializing removes the interface{} boxing
-// that allocated on every push.
-type completionHeap []completion
-
-func (h completionHeap) up(j int) {
-	for {
-		i := (j - 1) / 2 // parent
-		if i == j || h[j].cycle >= h[i].cycle {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
-	}
-}
-
-func (h completionHeap) down(i0, n int) {
-	i := i0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
-			break
-		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && h[j2].cycle < h[j1].cycle {
-			j = j2 // right child
-		}
-		if h[j].cycle >= h[i].cycle {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-}
-
-func (h *completionHeap) push(c completion) {
-	*h = append(*h, c) //shm:alloc-ok amortized heap growth, bounded by in-flight completions
-	h.up(len(*h) - 1)
-}
-
-func (h *completionHeap) pop() completion {
-	old := *h
-	n := len(old) - 1
-	old[0], old[n] = old[n], old[0]
-	old.down(0, n)
-	c := old[n]
-	*h = old[:n]
-	return c
 }
 
 type bank struct {
@@ -150,15 +124,28 @@ type bank struct {
 	freeAt   uint64
 	rowHits  uint64
 	rowMisss uint64
+	// head and tail delimit the bank's queued requests in enqueue order
+	// (slot indices, -1 when empty).
+	head, tail int32
 }
 
 // Channel is one memory partition's DRAM channel.
 type Channel struct {
-	cfg       Config
-	queue     []pendingReq
-	banks     []bank
-	busFreeFP uint64 // fixed-point cycle (×256) when the data bus frees
-	completed completionHeap
+	cfg Config
+	// slots is the fixed request pool; freeHead chains the unused slots.
+	slots    []pendingReq
+	freeHead int32
+	queued   int
+	nextSeq  uint64
+	// nonEmpty has bit b set while bank b has queued requests.
+	nonEmpty   []uint64
+	banks      []bank
+	busFreeFP  uint64 // fixed-point cycle (×256) when the data bus frees
+	transferFP uint64 // fixed-point bus occupancy of one sector transfer
+	completed  ringbuf.Ring[completion]
+	// wake is the earliest cycle at which Tick can change state; Tick
+	// returns at once before it. 0 forces the next Tick to look.
+	wake uint64
 	// doneBuf backs the slice returned by Tick; see the validity note there.
 	doneBuf []Req
 
@@ -175,10 +162,12 @@ type Channel struct {
 	part  int16
 
 	// enqueued counts accepted requests for the request-conservation
-	// invariant; lastTick enforces clock monotonicity. Both are maintained
-	// only while invariant checking is enabled.
-	enqueued uint64
-	lastTick uint64
+	// invariant; lastTick enforces clock monotonicity and lastArrival
+	// arrival monotonicity. All are maintained only while invariant
+	// checking is enabled.
+	enqueued    uint64
+	lastTick    uint64
+	lastArrival uint64
 }
 
 // SetProbe installs the telemetry probe (nil to disable) and the channel's
@@ -193,51 +182,121 @@ func NewChannel(cfg Config) *Channel {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Channel{
-		cfg:   cfg,
-		banks: make([]bank, cfg.Banks),
+	ch := &Channel{
+		cfg:        cfg,
+		slots:      make([]pendingReq, cfg.QueueDepth),
+		nonEmpty:   make([]uint64, (cfg.Banks+63)/64),
+		banks:      make([]bank, cfg.Banks),
+		transferFP: uint64(memdef.SectorSize) * 256 * 256 / cfg.BytesPerCycleFP,
 	}
+	ch.resetQueue()
+	return ch
+}
+
+// resetQueue empties every bank list and chains all slots into the free
+// list.
+func (ch *Channel) resetQueue() {
+	for i := range ch.slots {
+		ch.slots[i].next = int32(i + 1)
+	}
+	ch.slots[len(ch.slots)-1].next = -1
+	ch.freeHead = 0
+	ch.queued = 0
+	for i := range ch.banks {
+		ch.banks[i].head, ch.banks[i].tail = -1, -1
+	}
+	clear(ch.nonEmpty)
+	ch.wake = 0
 }
 
 // Config returns the channel configuration.
 func (ch *Channel) Config() Config { return ch.cfg }
 
 // CanAccept reports whether Enqueue would succeed.
-func (ch *Channel) CanAccept() bool { return len(ch.queue) < ch.cfg.QueueDepth }
+func (ch *Channel) CanAccept() bool { return ch.queued < ch.cfg.QueueDepth }
 
 // QueueLen returns the number of queued (not yet issued) requests.
-func (ch *Channel) QueueLen() int { return len(ch.queue) }
+func (ch *Channel) QueueLen() int { return ch.queued }
 
 // Pending returns queued plus in-flight (issued, not yet completed) requests.
-func (ch *Channel) Pending() int { return len(ch.queue) + len(ch.completed) }
+func (ch *Channel) Pending() int { return ch.queued + ch.completed.Len() }
 
 // Enqueue adds a sector request at cycle now. It returns false when the
 // queue is full (the caller must retry; this is the back-pressure that
-// creates bandwidth contention upstream).
+// creates bandwidth contention upstream). now must not decrease from one
+// Enqueue to the next.
 func (ch *Channel) Enqueue(r Req, now uint64) bool {
 	if !ch.CanAccept() {
 		return false
 	}
+	if invariant.Enabled() {
+		if now < ch.lastArrival {
+			invariant.Failf("arrival-monotonic", fmt.Sprintf("dram[%d]", ch.part), now,
+				"Enqueue arrival ran backwards: now=%d < last=%d (local %#x token %d)",
+				now, ch.lastArrival, uint64(r.Local), r.Token)
+		}
+		ch.lastArrival = now
+		ch.enqueued++
+	}
 	slice := uint64(r.Local) / memdef.PartitionStride
-	b := int(slice % uint64(ch.cfg.Banks))
+	b := int32(slice % uint64(ch.cfg.Banks))
 	slicesPerRow := uint64(ch.cfg.RowBytes / memdef.PartitionStride)
 	row := (slice / uint64(ch.cfg.Banks)) / slicesPerRow
-	ch.queue = append(ch.queue, pendingReq{Req: r, arrival: now, bank: b, row: row}) //shm:alloc-ok amortized growth, capacity bounded by cfg.QueueDepth
-	if invariant.Enabled() {
-		ch.enqueued++
-		if len(ch.queue) > ch.cfg.QueueDepth {
-			invariant.Failf("queue-occupancy", fmt.Sprintf("dram[%d]", ch.part), now,
-				"queue holds %d requests, capacity %d (local %#x token %d)",
-				len(ch.queue), ch.cfg.QueueDepth, uint64(r.Local), r.Token)
-		}
+	ch.push(pendingReq{Req: r, arrival: now, row: row, bank: b})
+	ch.wake = 0
+	if invariant.Enabled() && ch.queued > ch.cfg.QueueDepth {
+		invariant.Failf("queue-occupancy", fmt.Sprintf("dram[%d]", ch.part), now,
+			"queue holds %d requests, capacity %d (local %#x token %d)",
+			ch.queued, ch.cfg.QueueDepth, uint64(r.Local), r.Token)
 	}
 	if ch.probe != nil {
 		ch.probe.Emit(telemetry.Event{
 			Cycle: now, Kind: telemetry.EvDRAMEnqueue, Part: ch.part,
-			Class: uint8(r.Class), Value: uint64(len(ch.queue)),
+			Class: uint8(r.Class), Value: uint64(ch.queued),
 		})
 	}
 	return true
+}
+
+// push takes a free slot for p, stamps it with the next sequence number
+// and appends it to its bank's list. The caller has checked CanAccept.
+func (ch *Channel) push(p pendingReq) {
+	i := ch.freeHead
+	ch.freeHead = ch.slots[i].next
+	p.seq = ch.nextSeq
+	ch.nextSeq++
+	p.next = -1
+	ch.slots[i] = p
+	bk := &ch.banks[p.bank]
+	if bk.tail < 0 {
+		bk.head = i
+		ch.nonEmpty[p.bank>>6] |= 1 << (p.bank & 63)
+	} else {
+		ch.slots[bk.tail].next = i
+	}
+	bk.tail = i
+	ch.queued++
+}
+
+// unlink removes slot i (whose predecessor in its bank list is prev, or -1
+// at the head) and returns it to the free list.
+func (ch *Channel) unlink(i, prev int32) {
+	p := &ch.slots[i]
+	bk := &ch.banks[p.bank]
+	if prev < 0 {
+		bk.head = p.next
+	} else {
+		ch.slots[prev].next = p.next
+	}
+	if bk.tail == i {
+		bk.tail = prev
+	}
+	if bk.head < 0 {
+		ch.nonEmpty[p.bank>>6] &^= 1 << (p.bank & 63)
+	}
+	p.next = ch.freeHead
+	ch.freeHead = i
+	ch.queued--
 }
 
 // Tick advances the channel to cycle now: issues eligible requests (FR-FCFS:
@@ -254,14 +313,20 @@ func (ch *Channel) Tick(now uint64) []Req {
 		}
 		ch.lastTick = now
 	}
+	done := ch.doneBuf[:0]
+	if now < ch.wake {
+		ch.doneBuf = done
+		return done
+	}
 	// Issue as long as a request can start this cycle. Several issues per
 	// cycle are allowed; the bus reservation serializes actual transfers.
-	for len(ch.queue) > 0 {
-		idx := ch.pickNext(now)
-		if idx < 0 {
+	for ch.queued > 0 {
+		i, prev := ch.pickNext(now)
+		if i < 0 {
 			break // every queued request's bank is busy
 		}
-		p := ch.queue[idx]
+		p := ch.slots[i]
+		ch.unlink(i, prev)
 		bk := &ch.banks[p.bank]
 		// Column accesses to an open row are pipelined: they add CAS
 		// latency but do not occupy the bank. A row miss additionally
@@ -278,18 +343,22 @@ func (ch *Channel) Tick(now uint64) []Req {
 		bk.openRow = p.row
 		bk.hasRow = true
 
-		transferFP := uint64(memdef.SectorSize) * 256 * 256 / ch.cfg.BytesPerCycleFP
 		readyFP := (now + rowLat) * 256
 		startFP := readyFP
 		if ch.busFreeFP > startFP {
 			startFP = ch.busFreeFP
 		}
-		ch.busFreeFP = startFP + transferFP
-		ch.busyFP += transferFP
-		doneCycle := (startFP + transferFP + 255) / 256
+		ch.busFreeFP = startFP + ch.transferFP
+		ch.busyFP += ch.transferFP
+		doneCycle := (ch.busFreeFP + 255) / 256
 
-		ch.completed.push(completion{req: p.Req, cycle: doneCycle})
-		ch.queue = append(ch.queue[:idx], ch.queue[idx+1:]...) //shm:alloc-ok removal compacts in place; the result never exceeds the existing backing array
+		if invariant.Enabled() && ch.completed.Len() > 0 {
+			if last := ch.completed.At(ch.completed.Len() - 1).cycle; doneCycle < last {
+				invariant.Failf("completion-order", fmt.Sprintf("dram[%d]", ch.part), now,
+					"completion at cycle %d queued behind one at %d (token %d)", doneCycle, last, p.Token)
+			}
+		}
+		ch.completed.Push(completion{req: p.Req, cycle: doneCycle})
 		if ch.probe != nil {
 			ch.probe.Emit(telemetry.Event{
 				Cycle: now, Kind: telemetry.EvDRAMService, Part: ch.part,
@@ -304,9 +373,8 @@ func (ch *Channel) Tick(now uint64) []Req {
 		}
 	}
 
-	done := ch.doneBuf[:0]
-	for len(ch.completed) > 0 && ch.completed[0].cycle <= now {
-		c := ch.completed.pop()
+	for ch.completed.Len() > 0 && ch.completed.Front().cycle <= now {
+		c := ch.completed.PopFront()
 		if c.req.Kind == memdef.Read {
 			ch.ReadsServed++
 		} else {
@@ -315,7 +383,33 @@ func (ch *Channel) Tick(now uint64) []Req {
 		done = append(done, c.req) //shm:alloc-ok fills the reused doneBuf scratch, amortized
 	}
 	ch.doneBuf = done
+	// Every bank with queued work is busy past now (or pickNext would have
+	// issued from it) and every matured completion has been returned, so
+	// the horizon is strictly after now.
+	ch.wake = ch.horizon()
 	return done
+}
+
+// horizon returns the earliest freeAt over banks with queued requests or
+// the completion head's cycle, whichever is earlier; ^uint64(0) when the
+// channel is drained.
+func (ch *Channel) horizon() uint64 {
+	next := ^uint64(0)
+	for w, word := range ch.nonEmpty {
+		for word != 0 {
+			b := w<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			if fa := ch.banks[b].freeAt; fa < next {
+				next = fa
+			}
+		}
+	}
+	if ch.completed.Len() > 0 {
+		if c := ch.completed.Front().cycle; c < next {
+			next = c
+		}
+	}
+	return next
 }
 
 // NextEvent returns the earliest cycle after now at which the channel can
@@ -325,49 +419,58 @@ func (ch *Channel) Tick(now uint64) []Req {
 // every matured completion, so after a Tick at now both candidate times are
 // strictly in the future.
 func (ch *Channel) NextEvent(now uint64) uint64 {
-	next := ^uint64(0)
-	for i := range ch.queue {
-		if fa := ch.banks[ch.queue[i].bank].freeAt; fa < next {
-			next = fa
-		}
+	if ch.wake > now {
+		return ch.wake // set by a Tick, and nothing was enqueued since
 	}
-	if len(ch.completed) > 0 && ch.completed[0].cycle < next {
-		next = ch.completed[0].cycle
+	if next := ch.horizon(); next > now {
+		return next
 	}
-	if next <= now {
-		return now + 1
-	}
-	return next
+	return now + 1
 }
 
 // pickNext implements FR-FCFS-lite over requests whose bank is free at
 // cycle now: the oldest row hit wins; otherwise the oldest such request.
-// It returns -1 when every queued request targets a busy bank.
-func (ch *Channel) pickNext(now uint64) int {
-	bestHit, bestAny := -1, -1
-	for i := range ch.queue {
-		p := &ch.queue[i]
-		bk := &ch.banks[p.bank]
-		if bk.freeAt > now {
-			continue
-		}
-		if bk.hasRow && bk.openRow == p.row {
-			if bestHit < 0 || p.arrival < ch.queue[bestHit].arrival {
-				bestHit = i
+// It returns the chosen slot and its predecessor in the bank list (-1 at
+// the head), or slot -1 when every queued request targets a busy bank.
+// Bank lists are in sequence order, so the oldest request of a bank is its
+// head and its oldest row hit is the first hit along the list.
+func (ch *Channel) pickNext(now uint64) (slot, prev int32) {
+	bestHit, hitPrev, bestAny := int32(-1), int32(-1), int32(-1)
+	for w, word := range ch.nonEmpty {
+		for word != 0 {
+			b := w<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			bk := &ch.banks[b]
+			if bk.freeAt > now {
+				continue
 			}
-		}
-		if bestAny < 0 || p.arrival < ch.queue[bestAny].arrival {
-			bestAny = i
+			if bestAny < 0 || ch.slots[bk.head].seq < ch.slots[bestAny].seq {
+				bestAny = bk.head
+			}
+			if !bk.hasRow {
+				continue
+			}
+			pr := int32(-1)
+			for i := bk.head; i >= 0; pr, i = i, ch.slots[i].next {
+				p := &ch.slots[i]
+				if bestHit >= 0 && p.seq > ch.slots[bestHit].seq {
+					break // no older hit left in this bank
+				}
+				if p.row == bk.openRow {
+					bestHit, hitPrev = i, pr
+					break
+				}
+			}
 		}
 	}
 	if bestHit >= 0 {
-		return bestHit
+		return bestHit, hitPrev
 	}
-	return bestAny
+	return bestAny, -1
 }
 
 // Drained reports whether no requests are queued or in flight.
-func (ch *Channel) Drained() bool { return len(ch.queue) == 0 && len(ch.completed) == 0 }
+func (ch *Channel) Drained() bool { return ch.queued == 0 && ch.completed.Len() == 0 }
 
 // CheckConserved verifies the request-conservation invariant at a drain
 // point: every request accepted by Enqueue must have been returned by Tick.
@@ -379,7 +482,7 @@ func (ch *Channel) CheckConserved(component string, now uint64) {
 	if ch.enqueued != served || !ch.Drained() {
 		invariant.Failf("request-conservation", component, now,
 			"%d enqueued, %d served, %d queued, %d in flight",
-			ch.enqueued, served, len(ch.queue), len(ch.completed))
+			ch.enqueued, served, ch.queued, ch.completed.Len())
 	}
 }
 

@@ -2,6 +2,7 @@ package dram
 
 import (
 	"fmt"
+	"sort"
 
 	"shmgpu/internal/memdef"
 	"shmgpu/internal/snapshot"
@@ -9,12 +10,17 @@ import (
 )
 
 // Checkpoint/restore. The restore target must be a channel built by
-// NewChannel with the identical configuration. The completion heap's
-// backing array is serialized verbatim (not re-pushed): the heap's
-// internal layout determines the pop order of equal-cycle completions,
-// which is observable downstream at the MEE. doneBuf is scratch — only
-// valid between Tick and the caller consuming the returned slice — and is
-// never live at a cycle boundary, so it is not serialized. Cold path only.
+// NewChannel with the identical configuration. Queued requests are written
+// in enqueue (sequence) order and completions in completion order, which
+// is the FIFO's order; that is everything the scheduler's decisions depend
+// on, so the pool's slot layout and the sequence numbers themselves are
+// rebuilt on load rather than serialized. Snapshots written while
+// completions were a binary heap stored the heap's backing array, which is
+// not sorted; LoadState stable-sorts completions by cycle, which restores
+// their pop order exactly because no two of them shared a cycle (see the
+// package comment). doneBuf is scratch — only valid between Tick and the
+// caller consuming the returned slice — and is never live at a cycle
+// boundary, so it is not serialized. Cold path only.
 
 // SaveReq writes one request (shared with the secmem serializer).
 func SaveReq(e *snapshot.Encoder, r *Req) {
@@ -36,12 +42,13 @@ func LoadReq(d *snapshot.Decoder, r *Req) {
 func (ch *Channel) SaveState(e *snapshot.Encoder) {
 	e.Int(ch.cfg.QueueDepth)
 	e.Int(len(ch.banks))
-	e.Int(len(ch.queue))
-	for i := range ch.queue {
-		p := &ch.queue[i]
+	queued := ch.queuedInOrder()
+	e.Int(len(queued))
+	for _, i := range queued {
+		p := &ch.slots[i]
 		SaveReq(e, &p.Req)
 		e.U64(p.arrival)
-		e.Int(p.bank)
+		e.Int(int(p.bank))
 		e.U64(p.row)
 	}
 	for i := range ch.banks {
@@ -53,10 +60,11 @@ func (ch *Channel) SaveState(e *snapshot.Encoder) {
 		e.U64(b.rowMisss)
 	}
 	e.U64(ch.busFreeFP)
-	e.Int(len(ch.completed))
-	for i := range ch.completed {
-		SaveReq(e, &ch.completed[i].req)
-		e.U64(ch.completed[i].cycle)
+	e.Int(ch.completed.Len())
+	for i := 0; i < ch.completed.Len(); i++ {
+		c := ch.completed.At(i)
+		SaveReq(e, &c.req)
+		e.U64(c.cycle)
 	}
 	ch.Traffic.SaveState(e)
 	e.U64(ch.ReadsServed)
@@ -64,6 +72,21 @@ func (ch *Channel) SaveState(e *snapshot.Encoder) {
 	e.U64(ch.busyFP)
 	e.U64(ch.enqueued)
 	e.U64(ch.lastTick)
+}
+
+// queuedInOrder returns the slots of every queued request in enqueue
+// order.
+func (ch *Channel) queuedInOrder() []int32 {
+	queued := make([]int32, 0, ch.queued)
+	for i := range ch.banks {
+		for j := ch.banks[i].head; j >= 0; j = ch.slots[j].next {
+			queued = append(queued, j)
+		}
+	}
+	sort.Slice(queued, func(a, b int) bool {
+		return ch.slots[queued[a]].seq < ch.slots[queued[b]].seq
+	})
+	return queued
 }
 
 // LoadState restores state saved by SaveState into a same-configured
@@ -82,20 +105,26 @@ func (ch *Channel) LoadState(d *snapshot.Decoder) error {
 	if nQueue < 0 || nQueue > depth {
 		return fmt.Errorf("dram: snapshot queue length %d exceeds depth %d", nQueue, depth)
 	}
-	ch.queue = ch.queue[:0]
+	ch.resetQueue()
+	ch.nextSeq = 0
+	ch.lastArrival = 0
 	for i := 0; i < nQueue; i++ {
 		var p pendingReq
 		LoadReq(d, &p.Req)
 		p.arrival = d.U64()
-		p.bank = d.Int()
+		b := d.Int()
 		p.row = d.U64()
 		if err := d.Err(); err != nil {
 			return err
 		}
-		if p.bank < 0 || p.bank >= nBanks {
-			return fmt.Errorf("dram: queued request targets bank %d of %d", p.bank, nBanks)
+		if b < 0 || b >= nBanks {
+			return fmt.Errorf("dram: queued request targets bank %d of %d", b, nBanks)
 		}
-		ch.queue = append(ch.queue, p)
+		p.bank = int32(b)
+		ch.push(p)
+		// Arrivals never decrease along the queue, so the last one is the
+		// latest the arrival-monotonic check has to respect.
+		ch.lastArrival = p.arrival
 	}
 	for i := range ch.banks {
 		b := &ch.banks[i]
@@ -110,12 +139,15 @@ func (ch *Channel) LoadState(d *snapshot.Decoder) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	ch.completed = ch.completed[:0]
-	for i := 0; i < nDone; i++ {
-		var c completion
-		LoadReq(d, &c.req)
-		c.cycle = d.U64()
-		ch.completed = append(ch.completed, c)
+	done := make([]completion, nDone)
+	for i := range done {
+		LoadReq(d, &done[i].req)
+		done[i].cycle = d.U64()
+	}
+	sort.SliceStable(done, func(a, b int) bool { return done[a].cycle < done[b].cycle })
+	ch.completed.Clear()
+	for _, c := range done {
+		ch.completed.Push(c)
 	}
 	ch.Traffic.LoadState(d)
 	ch.ReadsServed = d.U64()

@@ -48,6 +48,10 @@ type SM struct {
 	l1Waiters flatmap.MultiMap[int32]
 	// missQueue holds sector requests awaiting crossbar acceptance.
 	missQueue ringbuf.Ring[smRequest]
+	// tierParked is set when this tick's drain stopped because the host
+	// tier refused the miss-queue head; the head then replays the same
+	// refusal every cycle until the tier's next event.
+	tierParked bool
 	// lastWarp implements greedy-then-oldest scheduling.
 	lastWarp int
 
@@ -156,6 +160,7 @@ func (s *SM) tick(now uint64, accept func(smRequest) bool) {
 // drainMisses retries queued L1 misses against the crossbar: older
 // requests have priority.
 func (s *SM) drainMisses(accept func(smRequest) bool) {
+	s.tierParked = false
 	for s.missQueue.Len() > 0 {
 		if !accept(*s.missQueue.Front()) {
 			break
@@ -270,9 +275,20 @@ func (s *SM) onFill(addr memdef.Addr, now uint64) {
 // cycle; otherwise the earliest warp wake-up (post-hit latency or back-off)
 // is the horizon. Warps capped on in-flight sectors wake via fills, which
 // the response network's horizon accounts for.
+//
+// A miss-queue head parked on the host tier retries in vain until the
+// tier's next event, which bounds the horizon on its own, so it does not
+// pin the horizon to now+1: the SM reports ^uint64(0) while issue is
+// throttled and otherwise falls through to the warp scan. advanceCycle
+// accounts the skipped retries as replays.
 func (s *SM) nextEvent(now uint64) uint64 {
 	if s.missQueue.Len() > 0 {
-		return now + 1
+		if !s.tierParked {
+			return now + 1
+		}
+		if s.missQueue.Len() > 32 {
+			return ^uint64(0)
+		}
 	}
 	next := ^uint64(0)
 	for i := range s.warps {

@@ -557,9 +557,10 @@ func (s *System) drainLoop() {
 // here): return the earliest cycle strictly after now at which ticking the
 // component is not a no-op, or ^uint64(0) if only another component's
 // progress can make it actable. Components that would merely retry
-// back-pressured work report now+1; a tick at a cycle below every
-// component's horizon would change no state and emit no event, which is
-// what makes the skip transparent.
+// back-pressured work report now+1 — except SMs parked on a host-tier
+// refusal, whose retries advanceCycle counts in bulk (see uvm.go); a
+// tick at a cycle below every component's horizon would change no state
+// and emit no event, which is what makes the skip transparent.
 func (s *System) advanceCycle(now, deadline uint64) uint64 {
 	next := now + 1
 	if !s.cfg.DisableFastForward {
@@ -570,7 +571,8 @@ func (s *System) advanceCycle(now, deadline uint64) uint64 {
 	if deadline != 0 && next > deadline {
 		next = deadline
 	}
-	if skipped := next - now - 1; skipped > 0 && s.tele != nil {
+	skipped := next - now - 1
+	if skipped > 0 && s.tele != nil {
 		// An every-cycle run emits one EvSMStall per unfinished SM per idle
 		// cycle (sm.stallProbe). Stall events carry no histogram or capture
 		// payload, so bulk-adding the count is exactly equivalent.
@@ -579,6 +581,9 @@ func (s *System) advanceCycle(now, deadline uint64) uint64 {
 				s.tele.AddEvents(telemetry.EvSMStall, skipped)
 			}
 		}
+	}
+	if skipped > 0 && s.uvm != nil {
+		s.uvm.addSkippedReplays(skipped)
 	}
 	return next
 }
@@ -715,6 +720,7 @@ func (s *System) acceptRequest(r smRequest) bool {
 	// cycle. Checked after the queue-depth gate so the tier only ever
 	// sees admission attempts that would otherwise succeed.
 	if s.uvm != nil && !s.uvm.admit(r.addr, r.write, s.tickNow) {
+		s.sms[r.sm].tierParked = true
 		return false
 	}
 	kind := memdef.Read

@@ -6,8 +6,11 @@ package gpu
 // PCIe-modeled migration, and leaves the request at the head of its
 // SM's miss queue, which retries it every cycle until the page arrives
 // (XNACK-style pause-and-replay; drainMisses already stops at the first
-// rejected request, and SM.nextEvent pins the horizon to now+1 while
-// the queue is non-empty, so both engines replay identically).
+// rejected request). A head refused by the tier parks its SM
+// (SM.tierParked): the refusal repeats until the tier's next event, so
+// the SM stops pinning the horizon to now+1, the tier's NextEvent bounds
+// the fast-forward jump, and advanceCycle adds the skipped retries to
+// the replay count in bulk — both engines replay identically.
 //
 // Security metadata travels with pages: under the "rebuild" integrity
 // mode a fault-in re-encrypts the migrated range with fresh counters,
@@ -147,6 +150,29 @@ func (u *uvmState) admit(addr memdef.Addr, write bool, now uint64) bool {
 	default: // hostmem.Stall: migrating, or the migration ring is full
 		return false
 	}
+}
+
+// addSkippedReplays accounts the retries a fast-forward jump over skipped
+// cycles elided. Every SM with a non-empty miss queue is parked on the
+// tier (any other would have pinned the horizon to now+1), and nothing
+// that could change a refusal happens before the tier's next event, so in
+// an every-cycle run each parked head is refused again on every skipped
+// cycle. The retry only reaches the tier — and counts a replay — while
+// the head's crossbar queue is below capacity; queue depths cannot change
+// during the skip either.
+func (u *uvmState) addSkippedReplays(skipped uint64) {
+	s := u.sys
+	var n uint64
+	for _, sm := range s.sms {
+		if !sm.tierParked || sm.missQueue.Len() == 0 {
+			continue
+		}
+		part, _ := s.pmap.ToLocal(sm.missQueue.Front().addr)
+		if s.toPart[part].Len() < s.cfg.XbarQueueDepth {
+			n += skipped
+		}
+	}
+	u.tier.AddReplays(n)
 }
 
 // tick completes due migrations. Runs in the sequential pre-phase of

@@ -479,6 +479,13 @@ func (t *Tier) PageBytes() uint64 { return t.cfg.PageBytes }
 // Stats returns a copy of the activity counters.
 func (t *Tier) Stats() Stats { return t.stats }
 
+// AddReplays counts n retried accesses that were refused without touching
+// any other tier state: a requester whose page is still migrating (or
+// whose fault cannot start yet) replays the same refusal every cycle until
+// the tier's next event, and a caller that skips those cycles accounts
+// them in bulk.
+func (t *Tier) AddReplays(n uint64) { t.stats.Replays += n }
+
 // InflightMigrations reports how many migration batches are in flight.
 func (t *Tier) InflightMigrations() int { return t.ringLen }
 
