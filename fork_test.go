@@ -10,7 +10,7 @@ import (
 )
 
 // forkSpecsFor builds the child variants one warmed parent fans out to:
-// the sequential engine in both fast-forward modes plus the cell's shard
+// the one-shard engine in both fast-forward modes plus the cell's shard
 // counts (fast-forward on, matching the parallel corpus).
 func forkSpecsFor(shards []int) []shmgpu.ForkSpec {
 	specs := []shmgpu.ForkSpec{

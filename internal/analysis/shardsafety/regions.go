@@ -304,7 +304,8 @@ func (c *checker) ifStmt(s *ast.IfStmt) {
 // rangeGuard recognizes `X >= lo && X < hi` (and the <=/> spellings)
 // where lo/hi are task-scoped-derived bounds: inside the branch the
 // spelling of X is a task-scoped index. This is the shape the real
-// smTask uses to claim cross-shard ring entries that belong to it.
+// smTask uses to claim cross-shard ring entries that belong to it, and
+// partTask to route a DRAM completion to its token's owning MEE.
 func (c *checker) rangeGuard(cond ast.Expr) []string {
 	b, ok := unparen(cond).(*ast.BinaryExpr)
 	if !ok || b.Op != token.LAND {
@@ -620,7 +621,7 @@ func (c *checker) containsScoped(e ast.Expr) bool {
 		}
 		switch n := n.(type) {
 		case *ast.Ident:
-			if o := c.objOf(n); o != nil && c.scoped[o] {
+			if o := c.objOf(n); o != nil && c.scoped[o] || c.scopedExpr[n.Name] {
 				found = true
 			}
 		case *ast.SelectorExpr:

@@ -69,6 +69,11 @@ func (e *E) task2(k int) {
 	s.shared.submit() // want `writes its receiver`
 	b := s.l2[k][0]
 	b.tick(s.shared) // want `writes its argument`
+	for _, owner := range s.global {
+		if owner >= 0 && owner < len(s.mees) {
+			s.mees[owner].submit() // want `writes its receiver`
+		}
+	}
 	e.emit(k)
 	e.fn()
 }

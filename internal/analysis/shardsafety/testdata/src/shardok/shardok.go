@@ -1,7 +1,8 @@
 // Package shardok is the accepted fixture for shardsafety: the shapes of
 // the real parallel engine's shard tasks — bounds-seeded loops over
-// sharded collections, the range guard that claims this task's ring
-// entries, the ownership panic guard, and arithmetic horizon slots.
+// sharded collections, the range guards that claim this task's ring
+// entries and completion owners, the ownership panic guard, and
+// arithmetic horizon slots.
 // shardsafety must stay silent.
 package shardok
 
@@ -78,4 +79,17 @@ func (e *E) partTask(k int) {
 		}
 	}
 	e.horizons[k] = 0 // ok: the task's own horizon slot
+}
+
+//shm:fork-root
+func (e *E) partTaskRouted(k int) {
+	s := e.sys
+	lo, hi := e.partLo[k], e.partHi[k]
+	for p := lo; p < hi; p++ {
+		for _, done := range s.channels[p].Tick() {
+			if owner := ownerOf(done); owner >= lo && owner < hi {
+				s.mees[owner].OnDone(done) // ok: range guard makes owner task-scoped
+			}
+		}
+	}
 }

@@ -64,8 +64,8 @@ type ConfigSpec struct {
 	MaxKCycles     int `json:"max_kcycles,omitempty"`
 	DRAMQueueDepth int `json:"dram_queue,omitempty"`
 	DRAMBanks      int `json:"dram_banks,omitempty"`
-	// ParallelShards runs the cell under the sharded parallel engine (0 =
-	// sequential). The parallel-equivalence oracle forces its own shard
+	// ParallelShards is the cell's engine shard count (0 = one shard,
+	// inline). The parallel-equivalence oracle forces its own shard
 	// counts regardless; this field lets a repro pin the mode it failed in.
 	ParallelShards int `json:"parallel_shards,omitempty"`
 

@@ -92,10 +92,10 @@ func resultLine(res gpu.Result) string {
 // oracle runs SHM-derived options under PSSM's label so the byte
 // comparison sees identical manifests). When sanitize is set the runtime
 // invariant sanitizer is armed for the run and its violations returned.
-// shards overrides the cell's ParallelShards for this run (0 =
-// sequential); the parallel-equivalence oracle is the only caller that
-// passes a non-zero value, so every other oracle compares runs of the
-// reference sequential engine.
+// shards overrides the cell's ParallelShards for this run (0 = one
+// shard, inline); the parallel-equivalence oracle is the only caller
+// that passes a non-zero value, so every other oracle compares one-shard
+// runs.
 func (c Case) runArtifacts(orun *obs.Run, schemeLabel string, opts secmem.Options, disableFF, sanitize bool, shards int) (artifacts, []invariant.Violation, error) {
 	bench, err := c.Bench()
 	if err != nil {
@@ -314,15 +314,15 @@ func CheckCaseOpts(c Case, opts CheckOptions) ([]Violation, error) {
 			return nil, err
 		}
 		vs = append(vs, diffArtifacts("ff-equivalence", name, "fast-forward", "every-cycle", ff, ref)...)
-		// The sharded engine must be invisible: same Result, same stats,
-		// same telemetry bytes. Schemes whose metadata mapping is not
-		// partition-local fall back to the sequential engine under the
-		// gate, so the comparison also pins the fallback path.
+		// Sharding must be invisible: same Result, same stats, same
+		// telemetry bytes. Schemes whose metadata mapping is not
+		// partition-local run one shard under the locality gate, so the
+		// comparison also pins the gate.
 		par, _, err := c.runArtifacts(opts.Obs, name, sch.Options, false, false, 2)
 		if err != nil {
 			return nil, err
 		}
-		vs = append(vs, diffArtifacts("parallel-equivalence", name, "shards=2", "sequential", par, ff)...)
+		vs = append(vs, diffArtifacts("parallel-equivalence", name, "shards=2", "one shard", par, ff)...)
 		vs = append(vs, conservation(c, sch.Options, name, ff.res)...)
 		arts[name] = ff
 		refs[name] = ref

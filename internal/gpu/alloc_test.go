@@ -71,9 +71,9 @@ func (p *fixedWarp) Next() (int, MemInst, bool) {
 
 // steadyState builds a system mid-kernel: the kernel is launched and warmed
 // long enough that every pool, ring buffer, and table has reached its
-// steady-state capacity. shards > 0 runs the warm-up and measurement under
-// the sharded parallel engine (its outboxes and shard buffers must likewise
-// reach capacity during warm-up, not grow per tick).
+// steady-state capacity. shards is the engine's ParallelShards: 0 runs the
+// one-shard engine inline, 4 the pooled engine (its outboxes and shard
+// buffers must likewise reach capacity during warm-up, not grow per tick).
 // oversub > 0 additionally enables the UVM host tier at that ratio, so
 // the measured ticks cover the fault/replay/migration path too.
 func steadyState(t *testing.T, opts secmem.Options, shards int, oversub float64, prefetch string) *System {
@@ -93,13 +93,13 @@ func steadyState(t *testing.T, opts secmem.Options, shards int, oversub float64,
 	for _, sm := range s.sms {
 		sm.launch(0, wl)
 	}
-	s.startParallel()
-	t.Cleanup(s.stopParallel)
-	if shards > 0 && s.par == nil {
-		t.Fatal("parallel engine did not start; measurement would cover the sequential loop")
+	s.startEngine()
+	t.Cleanup(s.stopEngine)
+	if want := max(shards, 1); s.eng.shards != want || (s.eng.pool == nil) != (want == 1) {
+		t.Fatalf("engine runs %d shards (pooled=%v), want %d", s.eng.shards, s.eng.pool != nil, want)
 	}
 	for i := 0; i < 30_000; i++ {
-		s.tickOnce(s.cycle)
+		s.eng.tick(s.cycle)
 		s.cycle++
 	}
 	if s.smsFinished() {
@@ -127,11 +127,12 @@ func TestTickSteadyStateAllocFree(t *testing.T) {
 		oversub  float64
 		prefetch string
 	}{
+		// Shards 0 runs the one-shard engine inline on this goroutine.
 		{"Baseline", secmem.Options{}, 0, false, 0, ""},
 		{"Naive", secmem.Options{Enabled: true}, 0, false, 0, ""},
 		{"PSSM", secmem.Options{Enabled: true, LocalMetadata: true, SectoredMetadata: true}, 0, false, 0, ""},
 		{"SHM", shmOpts, 0, false, 0, ""},
-		// The sharded engine must be allocation-free too: shard scratch
+		// The pooled engine must be allocation-free too: shard scratch
 		// (outboxes, horizons, pool batches) is preallocated, not per-tick.
 		{"Baseline/shards=4", secmem.Options{}, 4, false, 0, ""},
 		{"SHM/shards=4", shmOpts, 4, false, 0, ""},
@@ -142,8 +143,8 @@ func TestTickSteadyStateAllocFree(t *testing.T) {
 		// The UVM host tier is preallocated at construction: neither the
 		// non-faulting admit path (ratio ≥ 1.0, everything resident) nor
 		// the fault/replay/eviction/migration machinery itself (ratio
-		// 0.5, faulting throughout the measurement) may allocate, under
-		// either engine.
+		// 0.5, faulting throughout the measurement) may allocate, inline
+		// or pooled.
 		{"SHM/oversub-fit", shmOpts, 0, false, 1.5, ""},
 		{"SHM/oversub=0.5", shmOpts, 0, false, 0.5, ""},
 		{"SHM/oversub=0.5/shards=4", shmOpts, 4, false, 0.5, ""},
@@ -169,7 +170,7 @@ func TestTickSteadyStateAllocFree(t *testing.T) {
 				s.SetObserver(r, 0)
 			}
 			allocs := testing.AllocsPerRun(5000, func() {
-				s.tickOnce(s.cycle)
+				s.eng.tick(s.cycle)
 				s.cycle++
 			})
 			if allocs != 0 {

@@ -46,7 +46,8 @@ type Config struct {
 	// sectors: GPU warps issue independent loads non-blocking until a use
 	// (scoreboarding), so several memory instructions overlap per warp.
 	MaxWarpInflightSectors int
-	// XbarLatency is the one-way interconnect latency in cycles.
+	// XbarLatency is the one-way interconnect latency in cycles (at
+	// least 1: a response never matures in the tick that produced it).
 	XbarLatency uint64
 	// XbarQueueDepth is the per-partition crossbar request queue capacity;
 	// SMs see back-pressure when a partition's queue is full. (Previously a
@@ -72,16 +73,15 @@ type Config struct {
 	// after defaults are applied — the hook ablation studies use to sweep
 	// tracker counts, metadata-cache sizes, timeouts, etc.
 	MEETune func(*secmem.Config)
-	// ParallelShards, when positive, runs each tick's work sharded across
+	// ParallelShards, when 2 or more, runs each tick's work sharded across
 	// a fixed worker pool: SM clusters on one axis, {L2 banks + MEE + DRAM
 	// channel} partition stacks on the other, with a deterministic
 	// double-buffered queue exchange between phases (see parallel.go).
-	// Results are byte-identical to the sequential loop. 0 (the default)
-	// keeps the single-goroutine loop. Designs that route metadata across
-	// partitions (Options.Enabled without LocalMetadata) and runs with the
-	// runtime sanitizer armed fall back to sequential execution, as does
-	// XbarLatency 0 (the exchange relies on responses maturing strictly
-	// after the tick that produced them).
+	// Results are byte-identical to the one-shard run that 0 (the
+	// default) and 1 select, which executes the same engine inline on the
+	// calling goroutine. Designs that route metadata across partitions
+	// (Options.Enabled without LocalMetadata) and runs with the runtime
+	// sanitizer armed always run one shard.
 	ParallelShards int
 	// HostTier enables the host-backed memory tier (UVM demand paging):
 	// the workload's footprint starts host-resident behind a
@@ -175,6 +175,9 @@ func (c Config) Validate() error {
 	}
 	if c.XbarQueueDepth <= 0 {
 		return fmt.Errorf("gpu: XbarQueueDepth must be positive")
+	}
+	if c.XbarLatency < 1 {
+		return fmt.Errorf("gpu: XbarLatency must be at least 1 cycle")
 	}
 	if c.ParallelShards < 0 {
 		return fmt.Errorf("gpu: ParallelShards must be non-negative, got %d", c.ParallelShards)

@@ -33,7 +33,7 @@ func TestShardRanges(t *testing.T) {
 }
 
 // parHarness builds a mid-launch system driving the fixedWorkload, with the
-// parallel engine started when shards > 0.
+// engine started at the given ParallelShards.
 func parHarness(t *testing.T, opts secmem.Options, shards int) *System {
 	t.Helper()
 	cfg := smallConfig()
@@ -44,17 +44,17 @@ func parHarness(t *testing.T, opts secmem.Options, shards int) *System {
 	for _, sm := range s.sms {
 		sm.launch(0, wl)
 	}
-	s.startParallel()
-	t.Cleanup(s.stopParallel)
+	s.startEngine()
+	t.Cleanup(s.stopEngine)
 	return s
 }
 
-// TestParallelTickLockstep drives a sequential and a sharded system through
-// the same cycles and compares the crossbar response ring after every tick:
-// identical entries in identical order is exactly the deterministic-exchange
-// guarantee (outboxes appended in the sequential loop's push order), and
-// any divergence pinpoints the first cycle where the shard engine's
-// interleaving differs from the reference.
+// TestParallelTickLockstep drives an inline one-shard system and a sharded
+// one through the same cycles and compares the crossbar response ring after
+// every tick: identical entries in identical order is exactly the
+// deterministic-exchange guarantee (outboxes appended phase-major,
+// partition-ascending), and any divergence pinpoints the first cycle where
+// the sharded interleaving differs from the inline one.
 func TestParallelTickLockstep(t *testing.T) {
 	opts := map[string]secmem.Options{
 		"Baseline": {},
@@ -69,63 +69,60 @@ func TestParallelTickLockstep(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
 				seq := parHarness(t, o, 0)
 				par := parHarness(t, o, shards)
-				if par.par == nil {
-					t.Fatal("parallel engine did not start")
+				if par.eng.shards != shards {
+					t.Fatalf("engine runs %d shards, want %d", par.eng.shards, shards)
 				}
 				for now := uint64(0); now < 4000; now++ {
-					seq.tickOnce(now)
-					par.tickOnce(now)
+					seq.eng.tick(now)
+					par.eng.tick(now)
 					if seq.toSM.Len() != par.toSM.Len() {
-						t.Fatalf("cycle %d: response ring length %d (seq) vs %d (par)",
+						t.Fatalf("cycle %d: response ring length %d (inline) vs %d (sharded)",
 							now, seq.toSM.Len(), par.toSM.Len())
 					}
 					for i := 0; i < seq.toSM.Len(); i++ {
 						if *seq.toSM.At(i) != *par.toSM.At(i) {
-							t.Fatalf("cycle %d: response ring entry %d diverges: %+v (seq) vs %+v (par)",
+							t.Fatalf("cycle %d: response ring entry %d diverges: %+v (inline) vs %+v (sharded)",
 								now, i, *seq.toSM.At(i), *par.toSM.At(i))
 						}
 					}
 				}
 				if seq.smsFinished() != par.smsFinished() {
-					t.Fatalf("completion state diverges: seq=%v par=%v", seq.smsFinished(), par.smsFinished())
+					t.Fatalf("completion state diverges: inline=%v sharded=%v", seq.smsFinished(), par.smsFinished())
 				}
 			})
 		}
 	}
 }
 
-// TestParallelGateFallsBackSequential pins the locality gate: configurations
-// the engine cannot run deterministically (or safely) must silently use the
-// sequential loop.
+// TestParallelGateFallsBackSequential pins the shard count the engine
+// picks: configurations it cannot shard deterministically (or safely), and
+// ParallelShards below 2, run one shard inline with no worker pool.
 func TestParallelGateFallsBackSequential(t *testing.T) {
-	t.Run("non-local metadata", func(t *testing.T) {
-		s := parHarness(t, secmem.Options{Enabled: true}, 4) // Naive routes metadata across partitions
-		if s.par != nil {
-			t.Fatal("engine started despite cross-partition metadata routing")
+	check := func(t *testing.T, s *System, want int) {
+		t.Helper()
+		if s.eng.shards != want {
+			t.Fatalf("engine runs %d shards, want %d", s.eng.shards, want)
 		}
+		if pooled := s.eng.pool != nil; pooled != (want > 1) {
+			t.Fatalf("engine pooled=%v at %d shards", pooled, want)
+		}
+	}
+	t.Run("non-local metadata", func(t *testing.T) {
+		// Naive routes metadata across partitions.
+		check(t, parHarness(t, secmem.Options{Enabled: true}, 4), 1)
 	})
 	t.Run("sanitizer armed", func(t *testing.T) {
 		invariant.SetEnabled(true)
 		defer invariant.SetEnabled(false)
-		s := parHarness(t, secmem.Options{}, 4)
-		if s.par != nil {
-			t.Fatal("engine started with the invariant sanitizer armed")
-		}
-	})
-	t.Run("zero crossbar latency", func(t *testing.T) {
-		cfg := smallConfig()
-		cfg.XbarLatency = 0
-		cfg.ParallelShards = 4
-		s := NewSystem(cfg, secmem.Options{})
-		s.startParallel()
-		if s.par != nil {
-			t.Fatal("engine started with XbarLatency 0")
-		}
+		check(t, parHarness(t, secmem.Options{}, 4), 1)
 	})
 	t.Run("sequential default", func(t *testing.T) {
-		s := parHarness(t, secmem.Options{}, 0)
-		if s.par != nil {
-			t.Fatal("engine started with ParallelShards 0")
-		}
+		check(t, parHarness(t, secmem.Options{}, 0), 1)
+	})
+	t.Run("one shard", func(t *testing.T) {
+		check(t, parHarness(t, secmem.Options{}, 1), 1)
+	})
+	t.Run("four shards", func(t *testing.T) {
+		check(t, parHarness(t, secmem.Options{}, 4), 4)
 	})
 }

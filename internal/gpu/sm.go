@@ -146,19 +146,10 @@ func (s *SM) finished() bool {
 	return true
 }
 
-// tick issues at most one instruction and retries queued L1 misses.
-// Sector requests that need the crossbar are appended to out (bounded by
-// the caller's acceptance). The two halves are split so the parallel
-// engine can run the crossbar drains sequentially (admission depends on
-// other SMs' same-tick drains) and the issue stage per-shard (issue only
-// touches SM-local state; it never calls accept).
-func (s *SM) tick(now uint64, accept func(smRequest) bool) {
-	s.drainMisses(accept)
-	s.issueTick(now)
-}
-
 // drainMisses retries queued L1 misses against the crossbar: older
-// requests have priority.
+// requests have priority. The engine drains every SM in SM order before
+// any SM issues: admission depends on other SMs' same-tick drains, while
+// issue touches only SM-local state and never calls accept.
 func (s *SM) drainMisses(accept func(smRequest) bool) {
 	s.tierParked = false
 	for s.missQueue.Len() > 0 {

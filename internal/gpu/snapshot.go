@@ -242,11 +242,11 @@ func (s *System) SaveState(e *snapshot.Encoder, wl Workload) error {
 	if !ok {
 		return fmt.Errorf("gpu: workload %T is not snapshottable", wl)
 	}
-	if s.par != nil && s.tele != nil {
+	if s.eng != nil && s.tele != nil {
 		// Shard counter buffers must fold into the collector before its
 		// state is captured (event captures are replayed every tick, so
 		// only counters are outstanding between ticks).
-		s.par.flushCounters()
+		s.eng.flushCounters()
 	}
 
 	e.U64(s.fingerprint(wl.Name()))

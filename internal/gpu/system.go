@@ -112,8 +112,6 @@ type System struct {
 	// cycle (closure construction was a measurable hot-path allocation).
 	tickNow  uint64
 	acceptFn func(smRequest) bool
-	// respondFn is the bound s.respond method value, materialized once.
-	respondFn func(memdef.Request, uint64)
 	// snapFn is the bound s.snapshot method value, materialized once so the
 	// per-tick MaybeSample call does not rebind the receiver.
 	snapFn func() telemetry.Snapshot
@@ -148,12 +146,12 @@ type System struct {
 	// syncer, when non-nil, is notified at the top of every tick so the
 	// workload can freeze its cross-warp pacing state (see TickSynced).
 	syncer TickSynced
-	// par, when non-nil, is the sharded parallel tick engine (parallel.go);
-	// tickOnce and nextEventCycle dispatch to it.
-	par *parEngine
+	// eng is the tick engine (parallel.go), built at run start and torn
+	// down when the run completes.
+	eng *engine
 	// uvm, when non-nil, is the host-backed memory tier (Config.HostTier;
 	// see uvm.go): crossbar admission faults on non-resident pages and the
-	// tier's migrations tick in the sequential pre-phase of both engines.
+	// tier's migrations tick in the engine's sequential pre-phase.
 	uvm *uvmState
 }
 
@@ -257,7 +255,6 @@ func NewSystem(cfg Config, opts secmem.Options) *System {
 		toPart: make([]ringbuf.Ring[xbarEntry], cfg.Partitions),
 	}
 	s.acceptFn = s.acceptRequest
-	s.respondFn = s.respond
 	s.snapFn = s.snapshot
 	for i := 0; i < cfg.SMs; i++ {
 		s.sms = append(s.sms, newSM(i, &s.cfg))
@@ -293,8 +290,7 @@ func (s *System) bankOf(local memdef.Addr) int {
 func (s *System) applySetup(k int, setup KernelSetup) {
 	for _, cr := range setup.CopyRanges {
 		lo, hi := s.pmap.LocalRange(cr.Lo, cr.Hi)
-		for p, mee := range s.mees {
-			_ = p
+		for _, mee := range s.mees {
 			if k == 0 {
 				mee.MarkInputRange(lo, hi)
 			} else if setup.UseResetAPI {
@@ -327,11 +323,11 @@ type GridAware interface {
 }
 
 // TickSynced is an optional Workload extension: the system calls SyncTick
-// once at the top of every tick (in both the sequential and the sharded
-// loop), letting the workload freeze cross-warp state — e.g. the pacing
-// frontier — so that warp programs observe a per-tick snapshot instead of
-// other warps' same-tick progress. Required for workloads whose programs
-// share state, since the parallel engine ticks SMs concurrently.
+// once at the top of every tick, letting the workload freeze cross-warp
+// state — e.g. the pacing frontier — so that warp programs observe a
+// per-tick snapshot instead of other warps' same-tick progress. Required
+// for workloads whose programs share state, since a sharded engine ticks
+// SMs concurrently.
 type TickSynced interface {
 	SyncTick()
 }
@@ -361,7 +357,7 @@ func (s *System) Resume(wl Workload) Result {
 	if ts, ok := wl.(TickSynced); ok {
 		s.syncer = ts
 	}
-	s.startParallel()
+	s.startEngine()
 	res, _ := s.drive(wl, 0)
 	return res
 }
@@ -370,7 +366,7 @@ func (s *System) Resume(wl Workload) Result {
 // (RunUntil returning done=false) when the System will not be resumed.
 // Completed runs release them on their own.
 func (s *System) Shutdown() {
-	s.stopParallel()
+	s.stopEngine()
 	s.syncer = nil
 }
 
@@ -383,7 +379,7 @@ func (s *System) beginRun(wl Workload) {
 		s.syncer = ts
 	}
 	s.startUVM(wl)
-	s.startParallel()
+	s.startEngine()
 }
 
 // drive is the kernel loop behind Run, RunUntil, and Resume. It starts (or
@@ -446,7 +442,7 @@ func (s *System) drive(wl Workload, stopCycle uint64) (Result, bool) {
 	}
 	res := s.collect(wl.Name(), completed)
 	res.Cancelled = s.cancelled
-	s.stopParallel()
+	s.stopEngine()
 	s.syncer = nil
 	return res, true
 }
@@ -476,7 +472,7 @@ func (s *System) runKernel(stopCycle uint64) (ok, paused bool) {
 			return false, false
 		}
 		now := s.cycle
-		s.tickOnce(now)
+		s.eng.tick(now)
 		finished := s.smsFinished()
 		idle := finished && s.drained()
 		if idle {
@@ -530,7 +526,7 @@ func (s *System) drainLoop() {
 			return
 		}
 		now := s.cycle
-		s.tickOnce(now)
+		s.eng.tick(now)
 		if s.drained() {
 			// The tick at now completed the drain: exit at now+1 exactly as
 			// an every-cycle run would, instead of jumping to a far-future
@@ -552,11 +548,8 @@ func (s *System) drainLoop() {
 // (when nonzero) caps the jump so MaxCycles expiry fires at the same cycle
 // as under every-cycle ticking.
 //
-// The horizon contract each component implements (SM.nextEvent,
-// L2Bank.nextEvent, MEE.NextEvent, Channel.NextEvent, and the queue fronts
-// here): return the earliest cycle strictly after now at which ticking the
-// component is not a no-op, or ^uint64(0) if only another component's
-// progress can make it actable. Components that would merely retry
+// The engine reduces the horizon inside the tick (see parallel.go for the
+// contract each component implements). Components that would merely retry
 // back-pressured work report now+1 — except SMs parked on a host-tier
 // refusal, whose retries advanceCycle counts in bulk (see uvm.go); a
 // tick at a cycle below every component's horizon would change no state
@@ -564,7 +557,7 @@ func (s *System) drainLoop() {
 func (s *System) advanceCycle(now, deadline uint64) uint64 {
 	next := now + 1
 	if !s.cfg.DisableFastForward {
-		if h := s.nextEventCycle(now); h != ^uint64(0) && h > next {
+		if h := s.eng.horizon; h != ^uint64(0) && h > next {
 			next = h
 		}
 	}
@@ -584,94 +577,6 @@ func (s *System) advanceCycle(now, deadline uint64) uint64 {
 	}
 	if skipped > 0 && s.uvm != nil {
 		s.uvm.addSkippedReplays(skipped)
-	}
-	return next
-}
-
-// nextEventCycle computes the system-wide event horizon: the minimum of
-// every component's next-event cycle and the telemetry sampler's next due
-// cycle (samples must be taken at exactly the cycles an every-cycle run
-// would take them). now+1 short-circuits — nothing can be earlier.
-func (s *System) nextEventCycle(now uint64) uint64 {
-	// The parallel engine reduces the shard-local horizons during the tick
-	// itself; advanceCycle asks right afterwards, so the cache is hot.
-	if s.par != nil && s.par.horizonOK && s.par.horizonFor == now {
-		return s.par.horizonMin
-	}
-	next := ^uint64(0)
-	for _, sm := range s.sms {
-		if v := sm.nextEvent(now); v < next {
-			next = v
-			if next <= now+1 {
-				return now + 1
-			}
-		}
-	}
-	for p := range s.toPart {
-		if s.toPart[p].Len() > 0 {
-			// The ring is maturity-ordered; a matured head retries delivery
-			// every cycle (it may be waiting out bank back-pressure).
-			v := s.toPart[p].Front().at
-			if v <= now+1 {
-				return now + 1
-			}
-			if v < next {
-				next = v
-			}
-		}
-	}
-	if s.toSM.Len() > 0 {
-		v := s.toSM.Front().at
-		if v <= now+1 {
-			return now + 1
-		}
-		if v < next {
-			next = v
-		}
-	}
-	for p := range s.l2 {
-		for _, b := range s.l2[p] {
-			if v := b.nextEvent(now); v < next {
-				next = v
-				if next <= now+1 {
-					return now + 1
-				}
-			}
-		}
-	}
-	for _, mee := range s.mees {
-		if v := mee.NextEvent(now); v < next {
-			next = v
-			if next <= now+1 {
-				return now + 1
-			}
-		}
-	}
-	for _, ch := range s.channels {
-		if v := ch.NextEvent(now); v < next {
-			next = v
-			if next <= now+1 {
-				return now + 1
-			}
-		}
-	}
-	if s.uvm != nil {
-		if v := s.uvm.tier.NextEvent(now); v < next {
-			next = v
-			if next <= now+1 {
-				return now + 1
-			}
-		}
-	}
-	if s.tele != nil {
-		if at := s.tele.NextSampleAt(); at != ^uint64(0) {
-			if at <= now+1 {
-				return now + 1
-			}
-			if at < next {
-				next = at
-			}
-		}
 	}
 	return next
 }
@@ -708,7 +613,7 @@ func (s *System) pendingSummary() string {
 }
 
 // acceptRequest is the crossbar admission path SMs call while issuing; it
-// reads the tick cycle from s.tickNow (set by tickOnce) so the same func
+// reads the tick cycle from s.tickNow (set by engine.tick) so the same func
 // value serves every SM every cycle.
 func (s *System) acceptRequest(r smRequest) bool {
 	part, local := s.pmap.ToLocal(r.addr)
@@ -735,107 +640,6 @@ func (s *System) acceptRequest(r smRequest) bool {
 		at: s.tickNow + s.cfg.XbarLatency,
 	})
 	return true
-}
-
-// tickOnce is the per-cycle entry point: everything it reaches is the
-// steady-state hot path the hotalloc/syncfree analyzers police.
-//
-//shm:tick-root
-func (s *System) tickOnce(now uint64) {
-	// Progress heartbeat: one comparison per tick, one atomic store per
-	// interval, no allocations. Deliberately outside the event horizon —
-	// a lagging heartbeat is fine, a horizon entry would change skip
-	// cycles and break byte-identity with unobserved runs.
-	if s.obsProbe != nil && now >= s.obsNextAt {
-		s.obsProbe.Observe(obs.Event{Kind: obs.EvProgress, Cycle: now}) //shm:cold interval-throttled heartbeat: fires once per obsInterval (8192 cycles), not per tick
-
-		s.obsNextAt = now + s.obsInterval
-	}
-	if s.syncer != nil {
-		s.syncer.SyncTick()
-	}
-	if s.par != nil {
-		s.par.tick(now)
-		return
-	}
-	if s.tele != nil {
-		s.tele.MaybeSample(now, s.snapFn)
-	}
-	s.tickNow = now
-
-	// 0. The host tier completes due page migrations, so a page ready at
-	// cycle N admits this tick's retries (same position in both engines).
-	if s.uvm != nil {
-		s.uvm.tick(now)
-	}
-
-	// 1. SMs issue instructions; misses enter the crossbar.
-	for _, sm := range s.sms {
-		sm.tick(now, s.acceptFn)
-	}
-
-	// 2. Crossbar delivers matured requests to L2 banks. Delivery stops at
-	// the first entry whose target bank is full: this is intentional
-	// head-of-line blocking (the per-partition crossbar port is a FIFO
-	// link, not a router), so a younger request to an uncontended bank must
-	// wait behind the blocked head. The queue is maturity-ordered, so the
-	// loop also stops at the first entry still in flight.
-	for p := range s.toPart {
-		q := &s.toPart[p]
-		for q.Len() > 0 && q.Front().at <= now {
-			front := q.Front()
-			bank := s.l2[p][s.bankOf(front.r.Local)]
-			if !bank.enqueue(front.r, now) {
-				break
-			}
-			q.PopFront()
-		}
-	}
-
-	// 3. L2 banks process requests, forwarding misses to their MEE.
-	for p := range s.l2 {
-		mee := s.mees[p]
-		for _, bank := range s.l2[p] {
-			bank.tick(now, mee, s.respondFn)
-		}
-	}
-
-	// 4. MEEs advance; completed reads fill the L2 banks.
-	for p, mee := range s.mees {
-		for _, r := range mee.Tick(now) {
-			bank := s.l2[p][s.bankOf(r.Local)]
-			bank.onFill(r.Local, now, mee, s.respondFn)
-		}
-	}
-
-	// 5. DRAM channels advance; completions return to their owning MEE.
-	for p, ch := range s.channels {
-		_ = p
-		for _, done := range ch.Tick(now) {
-			owner := secmem.TokenOwner(done.Token)
-			if owner >= 0 && owner < len(s.mees) {
-				s.mees[owner].OnDRAMComplete(done.Token, now)
-			}
-		}
-	}
-
-	// 6. Response network delivers matured fills to SMs. The ring is
-	// maturity-ordered (respond pushes with a fixed latency off a monotonic
-	// now), so the matured entries are exactly a front prefix and delivery
-	// order matches the old full-scan-in-push-order exactly — that order is
-	// load-bearing, since each fill touches L1 LRU state.
-	for s.toSM.Len() > 0 && s.toSM.Front().at <= now {
-		e := s.toSM.PopFront()
-		s.sms[e.sm].onFill(e.phys, now)
-	}
-}
-
-// respond routes an L2 read response back toward its SM.
-func (s *System) respond(r memdef.Request, now uint64) {
-	if r.SM < 0 {
-		return
-	}
-	s.toSM.Push(respEntry{phys: memdef.SectorAddr(r.Phys), sm: r.SM, at: now + s.cfg.XbarLatency})
 }
 
 func (s *System) smsFinished() bool {
@@ -881,11 +685,9 @@ func (s *System) drained() bool {
 
 func (s *System) collect(workload string, completed bool) Result {
 	if s.tele != nil {
-		if s.par != nil {
-			// Shard counter buffers must fold into the collector before the
-			// terminal sample stamps the counter array.
-			s.par.flushCounters()
-		}
+		// Shard counter buffers must fold into the collector before the
+		// terminal sample stamps the counter array.
+		s.eng.flushCounters()
 		s.tele.FinishRun(s.cycle, s.snapshot)
 	}
 	res := Result{Workload: workload, Cycles: s.cycle, Completed: completed}

@@ -10,7 +10,7 @@ package gpu
 // (SM.tierParked): the refusal repeats until the tier's next event, so
 // the SM stops pinning the horizon to now+1, the tier's NextEvent bounds
 // the fast-forward jump, and advanceCycle adds the skipped retries to
-// the replay count in bulk — both engines replay identically.
+// the replay count in bulk — every shard count replays identically.
 //
 // Security metadata travels with pages: under the "rebuild" integrity
 // mode a fault-in re-encrypts the migrated range with fresh counters,
@@ -18,10 +18,10 @@ package gpu
 // (MigrationOverwrite); under "hostside" a trusted host-side MEE keeps
 // coverage valid and fault-in only re-keys, so detectors see nothing.
 //
-// Determinism: every tier mutation happens in the sequential parts of
-// the tick — Access inside the SM-ordered crossbar drains (phase 1 in
-// the parallel engine) and Tick right after the sample boundary — so
-// sharded runs are byte-identical to sequential ones. When the working
+// Determinism: every tier mutation happens in the engine's sequential
+// pre-phase — Access inside the SM-ordered crossbar drains and Tick
+// right after the sample boundary — so sharded runs are byte-identical
+// to one-shard ones. When the working
 // set fits (OversubRatio >= 1) the tier prepopulates every page, never
 // faults, touches no counters, and emits no events: results are
 // byte-identical to HostTier=false.
@@ -175,10 +175,10 @@ func (u *uvmState) addSkippedReplays(skipped uint64) {
 	u.tier.AddReplays(n)
 }
 
-// tick completes due migrations. Runs in the sequential pre-phase of
-// both engines, after the telemetry sample boundary and before the SM
-// crossbar drains, so a page ready at cycle N admits retries at N in
-// sequential and sharded runs alike.
+// tick completes due migrations. Runs in the engine's sequential
+// pre-phase, after the telemetry sample boundary and before the SM
+// crossbar drains, so a page ready at cycle N admits retries at N at
+// every shard count.
 func (u *uvmState) tick(now uint64) { u.tier.Tick(now) }
 
 // onFaultIn fires from tier.Tick when a migration completes: emit the

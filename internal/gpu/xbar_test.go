@@ -55,12 +55,29 @@ func TestXbarQueueDepthValidation(t *testing.T) {
 	}
 }
 
+// TestXbarLatencyValidation pins that a zero-latency crossbar is a
+// configuration error: the engine's exchange relies on a response
+// maturing strictly after the tick that produced it.
+func TestXbarLatencyValidation(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.XbarLatency = 0
+	if err := cfg.Validate(); err == nil {
+		t.Error("XbarLatency=0 passed Validate")
+	}
+	cfg.XbarLatency = 1
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("XbarLatency=1 rejected: %v", err)
+	}
+}
+
 // TestXbarMaturityGate pins the interconnect latency: an accepted request is
 // not delivered to its L2 bank before XbarLatency cycles have elapsed, and is
 // delivered once they have.
 func TestXbarMaturityGate(t *testing.T) {
 	cfg := smallConfig()
 	s := NewSystem(cfg, baselineOpts())
+	s.startEngine()
+	t.Cleanup(s.stopEngine)
 	r := smRequest{addr: 0, space: memdef.SpaceGlobal, sm: -1, warp: 0}
 	s.tickNow = 0
 	if !s.acceptRequest(r) {
@@ -68,11 +85,11 @@ func TestXbarMaturityGate(t *testing.T) {
 	}
 	part, _ := s.pmap.ToLocal(r.addr)
 
-	s.tickOnce(cfg.XbarLatency - 1)
+	s.eng.tick(cfg.XbarLatency - 1)
 	if s.toPart[part].Len() != 1 {
 		t.Fatalf("request delivered %d cycles early", 1)
 	}
-	s.tickOnce(cfg.XbarLatency)
+	s.eng.tick(cfg.XbarLatency)
 	if s.toPart[part].Len() != 0 {
 		t.Error("matured request not delivered at cycle XbarLatency")
 	}
@@ -87,6 +104,8 @@ func TestXbarMaturityGate(t *testing.T) {
 func TestXbarHeadOfLineBlocking(t *testing.T) {
 	cfg := smallConfig()
 	s := NewSystem(cfg, baselineOpts())
+	s.startEngine()
+	t.Cleanup(s.stopEngine)
 	addrA, addrB, part := twoBankAddrs(s)
 
 	// Fill bank A's input queue to capacity so the head can't deliver.
@@ -113,7 +132,7 @@ func TestXbarHeadOfLineBlocking(t *testing.T) {
 
 	// Both entries matured; head's bank is full at delivery time, so neither
 	// may leave the queue — the younger one is blocked behind the head.
-	s.tickOnce(cfg.XbarLatency)
+	s.eng.tick(cfg.XbarLatency)
 	if got := s.toPart[part].Len(); got != 2 {
 		t.Errorf("after blocked-head tick, queue holds %d entries, want 2 (head-of-line blocking)", got)
 	}

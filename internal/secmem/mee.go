@@ -574,27 +574,13 @@ func (m *MEE) isReadOnly(r memdef.Request) bool {
 	return m.roPred.Predict(r.Local)
 }
 
-// isStreaming decides the MAC granularity for the chunk of r.
-func (m *MEE) isStreaming(r memdef.Request) bool {
-	if !m.cfg.DualGranMAC {
-		return false
-	}
-	if m.stOracle != nil {
-		s, ok := m.stOracle[uint64(r.Local)/m.cfg.Streaming.ChunkBytes]
-		if !ok {
-			return true // eager default, like the bit vector
-		}
-		return s
-	}
-	return m.stPred.Predict(r.Local)
-}
-
 // PredictStreaming reports the streaming classification this MEE would
 // apply to a local chunk address: the oracle preload when present,
 // otherwise the trained bit-vector predictor. False when the
 // dual-granularity MAC mechanism (which owns the streaming detector) is
-// disabled. The UVM stream-prefetch policy consumes this to decide
-// which faulting pages are migrated ahead in bulk.
+// disabled. It decides the MAC granularity of every processed request,
+// and the UVM stream-prefetch policy consumes it to decide which
+// faulting pages are migrated ahead in bulk.
 func (m *MEE) PredictStreaming(local memdef.Addr) bool {
 	if !m.cfg.DualGranMAC {
 		return false
@@ -734,7 +720,7 @@ func (m *MEE) spillWritebacks(kind pendingKind, wbs []cache.Writeback, class sta
 func (m *MEE) process(r memdef.Request, submitAt, now uint64) {
 	meta := m.metaAddrFor(r)
 	ro := m.isReadOnly(r)
-	streaming := m.isStreaming(r)
+	streaming := m.PredictStreaming(r.Local)
 
 	if m.probe != nil {
 		if m.cfg.ReadOnlyOpt {

@@ -4,17 +4,17 @@ package telemetry
 // implements Probe with no locks by accumulating counters, histogram
 // observations, and captured events locally, for deterministic merging
 // into the run's Collector at fixed synchronization points. The sharded
-// engine gives each memory partition (and each SM cluster) its own
+// engine gives each partition shard (and each SM cluster) its own
 // ShardProbe, so concurrent emits never share state; the engine then
-// replays captures in a fixed lane/partition order and flushes counters
-// at sample boundaries, making the merged Collector byte-identical to a
-// sequential run's.
+// replays captures in a fixed lane/shard order and flushes counters at
+// sample boundaries, making the merged Collector byte-identical to a
+// one-shard run's.
 //
 // Lanes order the captured events within one tick: the engine switches
 // the active lane as it moves through the tick's phases (crossbar
 // delivery, L2, MEE, DRAM), and the replay walks lanes in phase-major,
-// shard-ascending order — exactly the emission order of the sequential
-// loop, which interleaves shards phase by phase.
+// shard-ascending order — exactly the emission order of a one-shard
+// run, which interleaves shards phase by phase.
 type ShardProbe struct {
 	counts [NumEventKinds]uint64
 

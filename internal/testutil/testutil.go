@@ -86,7 +86,7 @@ func RunCellCfg(t testing.TB, cfg shmgpu.Config, workload, scheme string, seed i
 }
 
 // RunCell executes one quick-config cell with the given shard count
-// (0 = sequential) and fast-forward mode — the shared artifact
+// (0 = one shard, inline) and fast-forward mode — the shared artifact
 // collector behind the fast-forward, parallel, and fork corpora.
 func RunCell(t testing.TB, workload, scheme string, seed int64, shards int, disableFF bool) Artifacts {
 	t.Helper()

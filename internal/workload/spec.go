@@ -354,8 +354,8 @@ func (b *Bench) Setup(k int) gpu.KernelSetup {
 
 // SyncTick implements gpu.TickSynced: the system calls it once at the top
 // of every tick to freeze the pacing frontier the coming tick's warps
-// read. Required for order-independence under the sharded parallel
-// engine; the sequential loop calls it too so both modes share one
+// read. Required for order-independence when the engine shards SMs
+// across goroutines; every shard count calls it, so all share one
 // pacing semantics (and stay byte-identical).
 func (b *Bench) SyncTick() {
 	if b.frontier != nil {

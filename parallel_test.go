@@ -10,11 +10,11 @@ import (
 // TestParallelMatchesSequential is the shard-engine equivalence gate: over
 // a corpus of (workload, scheme, seed) cells crossed with shard counts and
 // both fast-forward modes, a sharded run must be indistinguishable from
-// the sequential reference — identical Result fields, an identical
+// the one-shard reference — identical Result fields, an identical
 // stats-registry snapshot, and a byte-identical telemetry JSONL stream.
 // The corpus includes a scheme with cross-partition metadata
-// (Common_ctr), which the locality gate must silently run sequentially —
-// equality there pins the fallback path. The CI race job runs this test
+// (Common_ctr), which the locality gate must silently run at one shard —
+// equality there pins the gate. The CI race job runs this test
 // under -race, which is what turns "byte-identical" into "and no data
 // races reached the detector either".
 func TestParallelMatchesSequential(t *testing.T) {
@@ -29,7 +29,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}{
 		// Schemes chosen as in TestFastForwardMatchesEveryCycle: no MEE,
 		// full SHM machinery, RO-counter transitions, and the non-local
-		// metadata mapping that exercises the sequential-fallback gate.
+		// metadata mapping that exercises the locality gate.
 		{"atax", "Baseline", 1, []int{1, 2, 4, 8}},
 		{"atax", "SHM", 1, []int{2, 4, 8}},
 		{"bfs", "SHM", 2, []int{2}},
@@ -38,7 +38,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 	for _, c := range cells {
 		for _, disableFF := range []bool{false, true} {
-			// One sequential reference per (cell, fast-forward mode) serves
+			// One one-shard reference per (cell, fast-forward mode) serves
 			// every shard count — the reference is deterministic, so rerunning
 			// it per shard count would only burn CI minutes.
 			seq := testutil.RunCell(t, c.workload, c.scheme, c.seed, 0, disableFF)
@@ -46,7 +46,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 				c, shards, disableFF := c, shards, disableFF
 				t.Run(fmt.Sprintf("%s_%s_seed%d_shards%d_ff%v", c.workload, c.scheme, c.seed, shards, !disableFF), func(t *testing.T) {
 					par := testutil.RunCell(t, c.workload, c.scheme, c.seed, shards, disableFF)
-					testutil.AssertEqual(t, "parallel", par, "sequential", seq)
+					testutil.AssertEqual(t, "sharded", par, "one shard", seq)
 				})
 			}
 		}
@@ -55,10 +55,10 @@ func TestParallelMatchesSequential(t *testing.T) {
 
 // TestParallelMatchesSequentialOversubscribed extends the shard gate to
 // the UVM host tier: page faults, replays, migration completions, and
-// the metadata teardown/rebuild they trigger all happen in sequential
-// tick phases (tier mutations only inside the SM-ordered drains and the
-// pre-drain tier tick), so an oversubscribed sharded run must stay
-// byte-identical to the sequential reference. The CI uvm-smoke job runs
+// the metadata teardown/rebuild they trigger all happen in the engine's
+// sequential pre-phase (tier mutations only inside the SM-ordered drains
+// and the pre-drain tier tick), so an oversubscribed sharded run must
+// stay byte-identical to the one-shard reference. The CI uvm-smoke job runs
 // this under -race, which also proves the tier is never touched
 // concurrently.
 func TestParallelMatchesSequentialOversubscribed(t *testing.T) {
@@ -96,7 +96,7 @@ func TestParallelMatchesSequentialOversubscribed(t *testing.T) {
 				pcfg.UVMPrefetch = c.prefetch
 				pcfg.ParallelShards = shards
 				par := testutil.RunCellCfg(t, pcfg, c.workload, c.scheme, c.seed)
-				testutil.AssertEqual(t, "parallel", par, "sequential", seq)
+				testutil.AssertEqual(t, "sharded", par, "one shard", seq)
 			})
 		}
 	}
