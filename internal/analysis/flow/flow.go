@@ -138,7 +138,7 @@ type Effects struct {
 // Func is one summarized function or function literal.
 type Func struct {
 	Key     FuncKey
-	Display string // short human name, e.g. "(*System).tickOnce"
+	Display string // short human name, e.g. "(*engine).tick"
 	PkgPath string
 	Pos     token.Pos
 	// Decl is the *ast.FuncDecl or *ast.FuncLit; Body may be nil for

@@ -216,7 +216,7 @@ func (g *Graph) Reach(roots []FuncKey) *Reach {
 }
 
 // Witness renders the call chain from a root to key, e.g.
-// "runKernel → tickOnce → issueTick". Long chains elide the middle.
+// "runKernel → tick → smTask → issueTick". Long chains elide the middle.
 func (g *Graph) Witness(r *Reach, key FuncKey) string {
 	var chain []string
 	for k := key; k != ""; k = r.Parent[k] {

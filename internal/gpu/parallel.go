@@ -28,21 +28,21 @@ package gpu
 // Phase 1 (sequential): the progress heartbeat, the workload's frontier
 // freeze (TickSynced), the telemetry sample boundary, the host tier's
 // migration completions, every SM's crossbar drain in SM order (admission
-// depth depends on earlier SMs' same-tick drains, so it cannot shard),
-// and freezing the matured prefix of the response ring.
+// depth depends on earlier SMs' same-tick drains, so it cannot shard).
 //
 // Phase 2: the shard tasks. Each task computes against the frozen queues;
 // responses go to per-shard outboxes instead of the shared response ring,
 // and under a pool probe events go to per-shard telemetry buffers, so no
-// shared state is written concurrently. Inline, the SM
-// task runs first, so SM events reach the collector ahead of the
-// partition phases', as the pool's replay orders them.
+// shared state is written concurrently. Inline, the SM task runs first,
+// so SM events reach the collector ahead of the partition phases', as
+// the pool's replay orders them.
 //
-// Phase 3 (sequential, the deterministic exchange): matured responses are
-// popped, outboxes are appended in fixed (phase-major, partition-
-// ascending) order, shard telemetry buffers are replayed in the same
-// fixed order, and the shard-local event horizons are reduced to the
-// global fast-forward jump.
+// Phase 3 (sequential, the deterministic exchange): responses due this
+// tick are popped from the response ring, outboxes are appended in fixed
+// (phase-major, partition-ascending) order, shard telemetry buffers are
+// replayed in the same fixed order, and the shard-local event horizons
+// are reduced to the global fast-forward jump. Config.Validate requires
+// XbarLatency >= 1, so no response appended here is due this tick.
 //
 // Because every cross-shard interaction happens in the sequential phases
 // in a fixed order, message arrival order is independent of goroutine
@@ -99,8 +99,6 @@ type engine struct {
 	// now is the cycle being ticked, published to the tasks before the
 	// fork (the pool's channel handoff orders it).
 	now uint64
-	// matured is the frozen count of response-ring entries due this tick.
-	matured int
 
 	// outbox3/outbox4 buffer the tick's L2 read responses per partition
 	// shard: outbox3 from the bank tick phase, outbox4 from the MEE fill
@@ -290,16 +288,8 @@ func (e *engine) tick(now uint64) {
 		sm.drainMisses(s.acceptFn)
 	}
 
-	// Freeze the matured response prefix. Responses pushed this tick
-	// mature at now+XbarLatency >= now+1 (Config.Validate requires
-	// latency >= 1), so none of them joins the prefix.
-	e.matured = 0
-	for e.matured < s.toSM.Len() && s.toSM.At(e.matured).at <= now {
-		e.matured++
-	}
-	e.now = now
-
 	// --- Phase 2: shard tasks ---
+	e.now = now
 	if e.pool == nil {
 		e.smTask(0)
 		e.partTask(0)
@@ -308,7 +298,7 @@ func (e *engine) tick(now uint64) {
 	}
 
 	// --- Phase 3: deterministic exchange ---
-	for i := 0; i < e.matured; i++ {
+	for s.toSM.Len() > 0 && s.toSM.Front().at <= now {
 		s.toSM.PopFront()
 	}
 	for k := range e.outbox3 {
@@ -323,7 +313,7 @@ func (e *engine) tick(now uint64) {
 		}
 		e.outbox4[k] = e.outbox4[k][:0]
 	}
-	if s.tele != nil && e.pool != nil {
+	if e.partProbes != nil {
 		e.replayCaptures()
 	}
 	if !s.cfg.DisableFastForward {
@@ -331,10 +321,12 @@ func (e *engine) tick(now uint64) {
 	}
 }
 
-// smTask runs shard k's SMs: the issue stage, then delivery of the tick's
-// matured fills to owned SMs. Fills for one SM are applied in ring order
-// (L1 LRU state makes that order load-bearing), and fills never touch
-// other SMs or emit probe events.
+// smTask runs shard k's SMs: the issue stage, then delivery of the fills
+// due this tick to owned SMs. The response ring is maturity-ordered and
+// only the exchange writes it, so the due fills are its front prefix.
+// Fills for one SM are applied in ring order (L1 LRU state makes that
+// order load-bearing), and fills never touch other SMs or emit probe
+// events.
 //
 //shm:fork-root
 func (e *engine) smTask(k int) {
@@ -345,8 +337,11 @@ func (e *engine) smTask(k int) {
 	for i := lo; i < hi; i++ {
 		sms[i].issueTick(now)
 	}
-	for j := 0; j < e.matured; j++ {
+	for j := 0; j < s.toSM.Len(); j++ {
 		en := s.toSM.At(j)
+		if en.at > now {
+			break
+		}
 		if en.sm >= lo && en.sm < hi {
 			sms[en.sm].onFill(en.phys, now)
 		}
