@@ -1,12 +1,18 @@
 package shmgpu_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
 
 	"shmgpu"
+	"shmgpu/internal/gpu"
+	"shmgpu/internal/scheme"
+	"shmgpu/internal/snapshot"
+	"shmgpu/internal/telemetry"
 	"shmgpu/internal/testutil"
+	"shmgpu/internal/workload"
 )
 
 // referenceCells is the cross-commit reference corpus: quick cells whose
@@ -86,4 +92,191 @@ func TestReferenceCorpus(t *testing.T) {
 			}
 		})
 	}
+}
+
+// formatCells is the snapshot format-identity corpus: warm cells whose
+// System.SaveState payload hashes are pinned in formatHashes. Between
+// them they reach every serializer branch — MEE off, a capturing
+// collector, physical-address metadata with diverged pages, the oracle
+// detector maps, the L2 victim path, the accuracy harness, and the host
+// tier under both prefetch policies and page geometries.
+var formatCells = []struct {
+	name     string
+	workload string
+	scheme   string
+	warm     uint64
+	accuracy bool
+	tele     *shmgpu.TelemetryConfig
+	cfg      func() shmgpu.Config
+}{
+	{"atax_Baseline", "atax", "Baseline", 20000, false, nil, shmgpu.QuickConfig},
+	{"atax_SHM_collector", "atax", "SHM", 20000, false,
+		&shmgpu.TelemetryConfig{SampleInterval: 1000, CaptureEvents: true}, shmgpu.QuickConfig},
+	{"bfs_Common_ctr", "bfs", "Common_ctr", 20000, false, nil, shmgpu.QuickConfig},
+	{"atax_SHM_upper_bound", "atax", "SHM_upper_bound", 20000, false, nil, shmgpu.QuickConfig},
+	{"mvt_SHM_vL2", "mvt", "SHM_vL2", 20000, false, nil, shmgpu.QuickConfig},
+	{"atax_SHM_accuracy", "atax", "SHM", 20000, true, nil, shmgpu.QuickConfig},
+	{"atax_SHM_tier_stream", "atax", "SHM", 20000, false, nil, func() shmgpu.Config {
+		cfg := oversubQuickConfig(0.5)
+		cfg.UVMPageBytes = 4 << 10
+		cfg.UVMPrefetch = "stream"
+		return cfg
+	}},
+	{"atax_SHM_tier_large_stride", "atax", "SHM", 3000, false, nil, func() shmgpu.Config {
+		cfg := oversubQuickConfig(0.5)
+		cfg.UVMLargePages = true
+		cfg.UVMPrefetch = "stride"
+		return cfg
+	}},
+}
+
+// formatHashes holds, per format cell, the SHA-256 of its warm payload.
+// The table pins the snapshot byte format itself: a serializer change
+// that reorders, adds or drops one field fails here even when restored
+// runs stay equivalent. A deliberate format change bumps
+// snapshot.FormatVersion and re-records the table with
+//
+//	go test -run TestSnapshotFormatCorpus -v .
+//
+// pasting the printed `format row:` lines over the entries below.
+var formatHashes = map[string]string{
+	"atax_Baseline":              "d582ae2338cf4ff40b6e73dce011445f3ea57c041fc34cbeeb97fa248749ae23",
+	"atax_SHM_collector":         "22725ea54206ab5f47789dbdc2284897f84848ef77b22ed40d37d1983a2c7661",
+	"bfs_Common_ctr":             "09d6aa94847c1967d8be65a874fb4d7258b3083b9895de78fa4cda6a0a01938c",
+	"atax_SHM_upper_bound":       "320f6d6f5a3ec3399862eef60eb36cb2342ef7bcba33daf18fb7dee893a13d00",
+	"mvt_SHM_vL2":                "82d1e5af7b2c7c5f3148f12ddb1de02a81d2d15b70e9225ea50f5ccf24c3b2d3",
+	"atax_SHM_accuracy":          "c309ecafc7c2c5647c31e2166c87ffc57ff592eccd17284dbbea185d3587a4e7",
+	"atax_SHM_tier_stream":       "ac028b428e4bb38c990f8eb037bba6b271b8154e25cbc7b6195826dcf7fdbd88",
+	"atax_SHM_tier_large_stride": "7fe91ef115c65ad4d4fd00ebe79a941b15a9760079aa0e0fe2e1d69a980d4167",
+}
+
+// formatSystem builds a fresh system (plus workload and, when the cell
+// asks for one, an attached collector) for format cell i.
+func formatSystem(t testing.TB, i int) (*gpu.System, *workload.Bench) {
+	t.Helper()
+	c := formatCells[i]
+	sch, err := scheme.ByName(c.scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bench, err := workload.ByNameSeeded(c.workload, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := sch.Options
+	opts.TrackAccuracy = c.accuracy
+	sys := gpu.NewSystem(c.cfg(), opts)
+	if c.tele != nil {
+		sys.AttachTelemetry(telemetry.New(*c.tele))
+	}
+	return sys, bench
+}
+
+// formatPayload warms format cell i and returns its SaveState payload.
+func formatPayload(t testing.TB, i int) []byte {
+	t.Helper()
+	sys, bench := formatSystem(t, i)
+	defer sys.Shutdown()
+	if _, done := sys.RunUntil(bench, formatCells[i].warm); done {
+		t.Fatalf("%s finished before cycle %d; nothing to capture", formatCells[i].name, formatCells[i].warm)
+	}
+	e := snapshot.NewEncoder()
+	if err := sys.SaveState(e, bench); err != nil {
+		t.Fatal(err)
+	}
+	return e.Data()
+}
+
+// TestSnapshotFormatCorpus pins the payload hash of every format cell and
+// checks that each payload survives save(load(blob)) byte-identically.
+func TestSnapshotFormatCorpus(t *testing.T) {
+	if testing.Short() {
+		t.Skip("warms full simulations; skipped in -short")
+	}
+	if snapshot.FormatVersion != 2 {
+		t.Fatalf("FormatVersion %d; the recorded hashes are for version 2", snapshot.FormatVersion)
+	}
+	for i, c := range formatCells {
+		i, c := i, c
+		t.Run(c.name, func(t *testing.T) {
+			blob := formatPayload(t, i)
+			got := sha(blob)
+			t.Logf("format row: %q: %q,", c.name, got)
+			if want, ok := formatHashes[c.name]; !ok {
+				t.Errorf("no recorded hash for cell %s", c.name)
+			} else if got != want {
+				t.Errorf("payload hash %s, recorded %s (%d bytes)", got, want, len(blob))
+			}
+
+			sys, bench := formatSystem(t, i)
+			defer sys.Shutdown()
+			if err := sys.LoadState(snapshot.NewDecoder(blob), bench); err != nil {
+				t.Fatalf("LoadState: %v", err)
+			}
+			e := snapshot.NewEncoder()
+			if err := sys.SaveState(e, bench); err != nil {
+				t.Fatalf("SaveState after LoadState: %v", err)
+			}
+			if !bytes.Equal(e.Data(), blob) {
+				t.Errorf("save(load(blob)) differs from blob (%d vs %d bytes)", len(e.Data()), len(blob))
+			}
+		})
+	}
+}
+
+// TestSnapshotTruncationRejected loads every cut prefix of two warm
+// payloads into a fresh system: each load must fail with an error, never
+// succeed and never panic. Cuts are dense over the header sections, then
+// strided through the bulk of the payload, and always include the last
+// byte.
+func TestSnapshotTruncationRejected(t *testing.T) {
+	if testing.Short() {
+		t.Skip("thousands of restores; skipped in -short")
+	}
+	for _, name := range []string{"atax_SHM_collector", "atax_SHM_tier_stream"} {
+		i := formatIndex(t, name)
+		t.Run(name, func(t *testing.T) {
+			blob := formatPayload(t, i)
+			var cuts []int
+			for n := 0; n < len(blob); {
+				cuts = append(cuts, n)
+				switch {
+				case n < 1024:
+					n++
+				default:
+					n += 1021
+				}
+			}
+			cuts = append(cuts, len(blob)-1)
+			for _, n := range cuts {
+				sys, bench := formatSystem(t, i)
+				err, p := loadNoPanic(sys, bench, blob[:n])
+				sys.Shutdown()
+				if p != nil {
+					t.Fatalf("LoadState of a %d-byte prefix (of %d) panicked: %v", n, len(blob), p)
+				}
+				if err == nil {
+					t.Fatalf("LoadState of a %d-byte prefix (of %d) succeeded", n, len(blob))
+				}
+			}
+			t.Logf("%d cuts of a %d-byte payload all rejected", len(cuts), len(blob))
+		})
+	}
+}
+
+func formatIndex(t *testing.T, name string) int {
+	for i, c := range formatCells {
+		if c.name == name {
+			return i
+		}
+	}
+	t.Fatalf("no format cell %s", name)
+	return -1
+}
+
+// loadNoPanic runs LoadState, reporting a panic separately from an
+// ordinary load error.
+func loadNoPanic(sys *gpu.System, bench *workload.Bench, payload []byte) (err error, panicked any) {
+	defer func() { panicked = recover() }()
+	return sys.LoadState(snapshot.NewDecoder(payload), bench), nil
 }
