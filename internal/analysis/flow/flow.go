@@ -422,10 +422,11 @@ func (c *collector) summarize(key FuncKey, display string, decl ast.Node, body *
 }
 
 // snapshotPkgPath is the checkpoint/restore serializer package. Everything
-// in it, and every function that takes one of its Encoder/Decoder streams,
-// runs once per snapshot — never on the per-cycle tick path — so the flow
-// analyzers treat such functions as implicitly //shm:cold instead of
-// demanding annotations on every SaveState/LoadState method in the tree.
+// in it, and every function that takes a pointer to one of its named types
+// (an Encoder, a Decoder, or the State a component's snapshot walk runs
+// on), runs once per snapshot — never on the per-cycle tick path — so the
+// flow analyzers treat such functions as implicitly //shm:cold instead of
+// demanding annotations on every walk in the tree.
 const snapshotPkgPath = "shmgpu/internal/snapshot"
 
 func isSnapshotCode(f *Func) bool {
@@ -438,10 +439,7 @@ func isSnapshotCode(f *Func) bool {
 			continue
 		}
 		named, ok := ptr.Elem().(*types.Named)
-		if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != snapshotPkgPath {
-			continue
-		}
-		if name := named.Obj().Name(); name == "Encoder" || name == "Decoder" {
+		if ok && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == snapshotPkgPath {
 			return true
 		}
 	}

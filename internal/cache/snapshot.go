@@ -1,8 +1,6 @@
 package cache
 
 import (
-	"fmt"
-
 	"shmgpu/internal/flatmap"
 	"shmgpu/internal/snapshot"
 )
@@ -14,67 +12,27 @@ import (
 // the caller consuming the returned slice, and no snapshot is ever taken
 // inside that window. Cold path only.
 
-// SaveState writes the cache's mutable state.
-func (c *Cache) SaveState(e *snapshot.Encoder) {
-	e.String(c.cfg.Name)
-	e.Int(c.cfg.SizeBytes)
-	e.Int(c.cfg.Ways)
-	e.Int(c.cfg.MSHRs)
-	e.Int(c.cfg.MaxMergesPerMSHR)
-	e.Int(len(c.lines))
+// WalkState saves or restores the cache's mutable state, failing a
+// restore on any configuration or geometry mismatch.
+func (c *Cache) WalkState(s *snapshot.State) {
+	s.Match("cache name", c.cfg.Name)
+	s.Match("cache "+c.cfg.Name+" size", c.cfg.SizeBytes)
+	s.Match("cache "+c.cfg.Name+" ways", c.cfg.Ways)
+	s.Match("cache "+c.cfg.Name+" MSHRs", c.cfg.MSHRs)
+	s.Match("cache "+c.cfg.Name+" merges per MSHR", c.cfg.MaxMergesPerMSHR)
+	s.Match("cache "+c.cfg.Name+" lines", len(c.lines))
 	for i := range c.lines {
 		ln := &c.lines[i]
-		e.U64(ln.tag)
-		e.U8(ln.valid)
-		e.U8(ln.dirty)
-		e.U64(ln.lru)
-		e.Bool(ln.used)
+		s.U64(&ln.tag)
+		s.U8(&ln.valid)
+		s.U8(&ln.dirty)
+		s.U64(&ln.lru)
+		s.Bool(&ln.used)
 	}
-	flatmap.SaveMap(e, &c.mshrs, func(e *snapshot.Encoder, m *mshr) {
-		e.U8(m.pending)
-		e.Int(m.merges)
+	flatmap.WalkMap(s, &c.mshrs, func(s *snapshot.State, m *mshr) {
+		s.U8(&m.pending)
+		s.Int(&m.merges)
 	})
-	e.U64(c.lruClock)
-	c.Stats.SaveState(e)
-}
-
-// LoadState restores state saved by SaveState into a same-configured
-// cache, erroring on any configuration or geometry mismatch.
-func (c *Cache) LoadState(d *snapshot.Decoder) error {
-	name := d.String()
-	size := d.Int()
-	ways := d.Int()
-	mshrs := d.Int()
-	merges := d.Int()
-	nLines := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if name != c.cfg.Name || size != c.cfg.SizeBytes || ways != c.cfg.Ways ||
-		mshrs != c.cfg.MSHRs || merges != c.cfg.MaxMergesPerMSHR {
-		return fmt.Errorf("cache %s: snapshot was taken with config {%s %d %d %d %d}, this cache has {%s %d %d %d %d}",
-			c.cfg.Name, name, size, ways, mshrs, merges,
-			c.cfg.Name, c.cfg.SizeBytes, c.cfg.Ways, c.cfg.MSHRs, c.cfg.MaxMergesPerMSHR)
-	}
-	if nLines != len(c.lines) {
-		return fmt.Errorf("cache %s: snapshot has %d lines, this cache has %d", c.cfg.Name, nLines, len(c.lines))
-	}
-	for i := range c.lines {
-		ln := &c.lines[i]
-		ln.tag = d.U64()
-		ln.valid = d.U8()
-		ln.dirty = d.U8()
-		ln.lru = d.U64()
-		ln.used = d.Bool()
-	}
-	err := flatmap.LoadMap(d, &c.mshrs, func(d *snapshot.Decoder, m *mshr) {
-		m.pending = d.U8()
-		m.merges = d.Int()
-	})
-	if err != nil {
-		return err
-	}
-	c.lruClock = d.U64()
-	c.Stats.LoadState(d)
-	return d.Err()
+	s.U64(&c.lruClock)
+	c.Stats.WalkState(s)
 }

@@ -1,10 +1,6 @@
 package detectors
 
-import (
-	"fmt"
-
-	"shmgpu/internal/snapshot"
-)
+import "shmgpu/internal/snapshot"
 
 // Checkpoint/restore for the detector state machines. Restore targets must
 // be constructed with identical configs; table sizes are validated, not
@@ -13,187 +9,80 @@ import (
 // observable and a canonical order keeps the snapshot bytes deterministic.
 // Cold path only.
 
-// SaveState writes the predictor table and attribution state.
-func (p *ReadOnlyPredictor) SaveState(e *snapshot.Encoder) {
-	e.Int(len(p.bits))
+// WalkState saves or restores the predictor table and attribution state.
+func (p *ReadOnlyPredictor) WalkState(s *snapshot.State) {
+	s.Match("read-only predictor entries", len(p.bits))
 	for i := range p.bits {
-		e.Bool(p.bits[i])
-		e.Bool(p.everMarked[i])
-		e.U64(p.clearedBy[i])
-		e.Bool(p.hasClear[i])
+		s.Bool(&p.bits[i])
+		s.Bool(&p.everMarked[i])
+		s.U64(&p.clearedBy[i])
+		s.Bool(&p.hasClear[i])
 	}
 }
 
-// LoadState restores state saved by SaveState.
-func (p *ReadOnlyPredictor) LoadState(d *snapshot.Decoder) error {
-	n := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if n != len(p.bits) {
-		return fmt.Errorf("detectors: read-only snapshot has %d entries, predictor has %d", n, len(p.bits))
-	}
+// WalkState saves or restores the predictor table and training
+// attribution.
+func (p *StreamingPredictor) WalkState(s *snapshot.State) {
+	s.Match("streaming predictor entries", len(p.bits))
 	for i := range p.bits {
-		p.bits[i] = d.Bool()
-		p.everMarked[i] = d.Bool()
-		p.clearedBy[i] = d.U64()
-		p.hasClear[i] = d.Bool()
-	}
-	return d.Err()
-}
-
-// SaveState writes the predictor table and training attribution.
-func (p *StreamingPredictor) SaveState(e *snapshot.Encoder) {
-	e.Int(len(p.bits))
-	for i := range p.bits {
-		e.Bool(p.bits[i])
-		e.U64(p.trainedBy[i])
-		e.Bool(p.hasTrain[i])
+		s.Bool(&p.bits[i])
+		s.U64(&p.trainedBy[i])
+		s.Bool(&p.hasTrain[i])
 	}
 }
 
-// LoadState restores state saved by SaveState.
-func (p *StreamingPredictor) LoadState(d *snapshot.Decoder) error {
-	n := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if n != len(p.bits) {
-		return fmt.Errorf("detectors: streaming snapshot has %d entries, predictor has %d", n, len(p.bits))
-	}
-	for i := range p.bits {
-		p.bits[i] = d.Bool()
-		p.trainedBy[i] = d.U64()
-		p.hasTrain[i] = d.Bool()
-	}
-	return d.Err()
-}
-
-// SaveState writes the tracker file: every tracker slot verbatim (slot
-// index is the allocation order tiebreaker, so layout is observable) plus
-// the occupancy counters.
-func (f *MATFile) SaveState(e *snapshot.Encoder) {
-	e.Int(len(f.trackers))
+// WalkState saves or restores the tracker file: every tracker slot
+// verbatim (slot index is the allocation order tiebreaker, so layout is
+// observable) plus the occupancy counters.
+func (f *MATFile) WalkState(s *snapshot.State) {
+	s.Match("MAT trackers", len(f.trackers))
 	for i := range f.trackers {
 		tr := &f.trackers[i]
-		e.Bool(tr.inUse)
-		e.U64(tr.chunk)
-		e.U64(tr.blockBit)
-		e.Bool(tr.hadWrite)
-		e.Int(tr.accesses)
-		e.U64(tr.deadline)
-		e.U64(tr.hardDeadline)
+		s.Bool(&tr.inUse)
+		s.U64(&tr.chunk)
+		s.U64(&tr.blockBit)
+		s.Bool(&tr.hadWrite)
+		s.Int(&tr.accesses)
+		s.U64(&tr.deadline)
+		s.U64(&tr.hardDeadline)
 	}
-	e.U64(f.Monitored)
-	e.U64(f.Skipped)
+	s.U64(&f.Monitored)
+	s.U64(&f.Skipped)
 }
 
-// LoadState restores state saved by SaveState.
-func (f *MATFile) LoadState(d *snapshot.Decoder) error {
-	n := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if n != len(f.trackers) {
-		return fmt.Errorf("detectors: MAT snapshot has %d trackers, file has %d", n, len(f.trackers))
-	}
-	for i := range f.trackers {
-		tr := &f.trackers[i]
-		tr.inUse = d.Bool()
-		tr.chunk = d.U64()
-		tr.blockBit = d.U64()
-		tr.hadWrite = d.Bool()
-		tr.accesses = d.Int()
-		tr.deadline = d.U64()
-		tr.hardDeadline = d.U64()
-	}
-	f.Monitored = d.U64()
-	f.Skipped = d.U64()
-	return d.Err()
-}
-
-// SaveState writes the buffered per-region tallies.
-func (a *ReadOnlyAccuracy) SaveState(e *snapshot.Encoder) {
-	keys := sortedKeys(a.regions)
-	e.Int(len(keys))
-	for _, k := range keys {
-		t := a.regions[k]
-		e.U64(k)
-		e.Bool(t.written)
-		for p := 0; p < 2; p++ {
-			for at := 0; at < 3; at++ {
-				e.U64(t.counts[p][at])
+// WalkState saves or restores the buffered per-region tallies.
+func (a *ReadOnlyAccuracy) WalkState(s *snapshot.State) {
+	snapshot.SortedMap(s, &a.regions, func(s *snapshot.State, pt **roRegionTally) {
+		if s.Loading() {
+			*pt = &roRegionTally{}
+		}
+		t := *pt
+		s.Bool(&t.written)
+		for p := range t.counts {
+			for at := range t.counts[p] {
+				s.U64(&t.counts[p][at])
 			}
 		}
-	}
+	})
 }
 
-// LoadState restores tallies saved by SaveState, replacing the current
-// map.
-func (a *ReadOnlyAccuracy) LoadState(d *snapshot.Decoder) error {
-	n := d.Len()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	a.regions = make(map[uint64]*roRegionTally, n)
-	for i := 0; i < n; i++ {
-		k := d.U64()
-		t := &roRegionTally{written: d.Bool()}
-		for p := 0; p < 2; p++ {
-			for at := 0; at < 3; at++ {
-				t.counts[p][at] = d.U64()
-			}
+// WalkState saves or restores the buffered per-chunk tallies and the
+// settled stats.
+func (a *StreamingAccuracy) WalkState(s *snapshot.State) {
+	snapshot.SortedMap(s, &a.chunks, func(s *snapshot.State, pt **streamChunkTally) {
+		if s.Loading() {
+			*pt = &streamChunkTally{}
 		}
-		if err := d.Err(); err != nil {
-			return err
-		}
-		a.regions[k] = t
-	}
-	return nil
-}
-
-// SaveState writes the buffered per-chunk tallies and the settled stats.
-func (s *StreamingAccuracy) SaveState(e *snapshot.Encoder) {
-	keys := sortedKeys(s.chunks)
-	e.Int(len(keys))
-	for _, k := range keys {
-		t := s.chunks[k]
-		e.U64(k)
-		e.U64(t.blockBit)
-		e.Int(t.accesses)
-		for p := 0; p < 2; p++ {
-			for at := 0; at < 3; at++ {
-				for ro := 0; ro < 2; ro++ {
-					e.U64(t.counts[p][at][ro])
+		t := *pt
+		s.U64(&t.blockBit)
+		s.Int(&t.accesses)
+		for p := range t.counts {
+			for at := range t.counts[p] {
+				for ro := range t.counts[p][at] {
+					s.U64(&t.counts[p][at][ro])
 				}
 			}
 		}
-	}
-	s.out.SaveState(e)
-}
-
-// LoadState restores state saved by SaveState, replacing the current map.
-func (s *StreamingAccuracy) LoadState(d *snapshot.Decoder) error {
-	n := d.Len()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	s.chunks = make(map[uint64]*streamChunkTally, n)
-	for i := 0; i < n; i++ {
-		k := d.U64()
-		t := &streamChunkTally{blockBit: d.U64(), accesses: d.Int()}
-		for p := 0; p < 2; p++ {
-			for at := 0; at < 3; at++ {
-				for ro := 0; ro < 2; ro++ {
-					t.counts[p][at][ro] = d.U64()
-				}
-			}
-		}
-		if err := d.Err(); err != nil {
-			return err
-		}
-		s.chunks[k] = t
-	}
-	s.out.LoadState(d)
-	return d.Err()
+	})
+	a.out.WalkState(s)
 }

@@ -161,12 +161,13 @@ func (ch *refChannel) NextEvent(now uint64) uint64 {
 // array verbatim (enqueued is written as 0: the reference does not run
 // the invariant counters).
 func (ch *refChannel) SaveState(e *snapshot.Encoder) {
+	st := snapshot.Saving(e)
 	e.Int(ch.cfg.QueueDepth)
 	e.Int(len(ch.banks))
 	e.Int(len(ch.queue))
 	for i := range ch.queue {
 		p := &ch.queue[i]
-		SaveReq(e, &p.Req)
+		p.Req.WalkState(st)
 		e.U64(p.arrival)
 		e.Int(p.bank)
 		e.U64(p.row)
@@ -182,10 +183,10 @@ func (ch *refChannel) SaveState(e *snapshot.Encoder) {
 	e.U64(ch.busFreeFP)
 	e.Int(len(ch.completed))
 	for i := range ch.completed {
-		SaveReq(e, &ch.completed[i].req)
+		ch.completed[i].req.WalkState(st)
 		e.U64(ch.completed[i].cycle)
 	}
-	ch.traffic.SaveState(e)
+	ch.traffic.WalkState(st)
 	e.U64(ch.reads)
 	e.U64(ch.writes)
 	e.U64(ch.busyFP)
@@ -452,13 +453,13 @@ func TestSnapshotRoundTripMidRun(t *testing.T) {
 		ch.Tick(now)
 	}
 	e := snapshot.NewEncoder()
-	ch.SaveState(e)
+	ch.WalkState(snapshot.Saving(e))
 	restored := NewChannel(cfg)
-	if err := restored.LoadState(snapshot.NewDecoder(e.Data())); err != nil {
+	if err := restore(restored, e.Data()); err != nil {
 		t.Fatal(err)
 	}
 	e2 := snapshot.NewEncoder()
-	restored.SaveState(e2)
+	restored.WalkState(snapshot.Saving(e2))
 	if !reflect.DeepEqual(e.Data(), e2.Data()) {
 		t.Fatal("re-saving a restored channel changed the snapshot bytes")
 	}
@@ -531,8 +532,15 @@ func TestLoadsHeapOrderedSnapshot(t *testing.T) {
 	e := snapshot.NewEncoder()
 	ref.SaveState(e)
 	ch := NewChannel(cfg)
-	if err := ch.LoadState(snapshot.NewDecoder(e.Data())); err != nil {
+	if err := restore(ch, e.Data()); err != nil {
 		t.Fatal(err)
 	}
 	lockstep(t, ref, ch, gen, now)
+}
+
+// restore walks payload into ch and returns the decoding error.
+func restore(ch *Channel, payload []byte) error {
+	d := snapshot.NewDecoder(payload)
+	ch.WalkState(snapshot.Loading(d))
+	return d.Err()
 }

@@ -1,10 +1,6 @@
 package flatmap
 
-import (
-	"fmt"
-
-	"shmgpu/internal/snapshot"
-)
+import "shmgpu/internal/snapshot"
 
 // This file serializes the physical table layout — capacity plus
 // (slot, key, value) triples for used slots — rather than a canonical
@@ -18,56 +14,46 @@ import (
 // fails cleanly instead of driving a huge allocation.
 const maxTableCap = 1 << 30
 
-// SaveMap writes m's physical slot layout. saveVal encodes one value.
-func SaveMap[V any](e *snapshot.Encoder, m *Map[V], saveVal func(*snapshot.Encoder, *V)) {
-	e.Int(len(m.keys))
-	e.Int(m.n)
-	for i := range m.keys {
-		if !m.used[i] {
-			continue
+// WalkMap saves or restores m's physical slot layout: capacity, entry
+// count, then (slot, key, value) for every used slot in slot order. val
+// walks one value. Loading replaces m's contents.
+func WalkMap[V any](s *snapshot.State, m *Map[V], val func(*snapshot.State, *V)) {
+	capN, n := len(m.keys), m.n
+	s.Int(&capN)
+	s.Int(&n)
+	if s.Loading() {
+		if capN < 0 || capN > maxTableCap || (capN != 0 && capN&(capN-1) != 0) {
+			s.Failf("flatmap: bad table capacity %d", capN)
+			return
 		}
-		e.Int(i)
-		e.U64(m.keys[i])
-		saveVal(e, &m.vals[i])
+		if n < 0 || n > capN {
+			s.Failf("flatmap: bad entry count %d for capacity %d", n, capN)
+			return
+		}
+		*m = Map[V]{n: n}
+		if capN > 0 {
+			m.keys = make([]uint64, capN)
+			m.vals = make([]V, capN)
+			m.used = make([]bool, capN)
+		}
 	}
-}
-
-// LoadMap restores a map saved by SaveMap, replacing m's contents.
-// loadVal decodes one value in place.
-func LoadMap[V any](d *snapshot.Decoder, m *Map[V], loadVal func(*snapshot.Decoder, *V)) error {
-	capN := d.Int()
-	n := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if capN < 0 || capN > maxTableCap || (capN != 0 && capN&(capN-1) != 0) {
-		return fmt.Errorf("flatmap: bad table capacity %d", capN)
-	}
-	if n < 0 || n > capN {
-		return fmt.Errorf("flatmap: bad entry count %d for capacity %d", n, capN)
-	}
-	if capN == 0 {
-		*m = Map[V]{}
-		return nil
-	}
-	m.keys = make([]uint64, capN)
-	m.vals = make([]V, capN)
-	m.used = make([]bool, capN)
-	m.n = n
+	slot := -1
 	for j := 0; j < n; j++ {
-		slot := d.Int()
-		key := d.U64()
-		if err := d.Err(); err != nil {
-			return err
+		if !s.Loading() {
+			slot++
+			for !m.used[slot] {
+				slot++
+			}
 		}
-		if slot < 0 || slot >= capN || m.used[slot] {
-			return fmt.Errorf("flatmap: bad slot index %d for capacity %d", slot, capN)
+		s.Int(&slot)
+		if s.Loading() && (slot < 0 || slot >= capN || m.used[slot]) {
+			s.Failf("flatmap: bad slot index %d for capacity %d", slot, capN)
+			return
 		}
 		m.used[slot] = true
-		m.keys[slot] = key
-		loadVal(d, &m.vals[slot])
+		s.U64(&m.keys[slot])
+		val(s, &m.vals[slot])
 	}
-	return d.Err()
 }
 
 // VisitMultiMapNodes calls fn for every node in mm's arena in index order
@@ -81,54 +67,25 @@ func VisitMultiMapNodes[V any](mm *MultiMap[V], fn func(v *V)) {
 	}
 }
 
-// SaveMultiMap writes mm's full physical state: the key table, the node
-// arena (free-chain nodes are zero-valued — Drain and Reset zero released
-// values), the free-list head, and the bookkeeping counters.
-func SaveMultiMap[V any](e *snapshot.Encoder, mm *MultiMap[V], saveVal func(*snapshot.Encoder, *V)) {
-	SaveMap(e, &mm.m, func(e *snapshot.Encoder, r *listRef) {
-		e.I32(r.head)
-		e.I32(r.tail)
+// WalkMultiMap saves or restores mm's full physical state: the key table,
+// the node arena (free-chain nodes are zero-valued — Drain and Reset zero
+// released values), the free-list head, and the bookkeeping counters.
+func WalkMultiMap[V any](s *snapshot.State, mm *MultiMap[V], val func(*snapshot.State, *V)) {
+	WalkMap(s, &mm.m, func(s *snapshot.State, r *listRef) {
+		s.I32(&r.head)
+		s.I32(&r.tail)
 	})
-	e.Int(len(mm.nodes))
-	for i := range mm.nodes {
-		saveVal(e, &mm.nodes[i].v)
-		e.I32(mm.nodes[i].next)
-	}
-	e.I32(mm.free)
-	e.Int(mm.vals)
-	e.Bool(mm.init)
-}
-
-// LoadMultiMap restores a multimap saved by SaveMultiMap, replacing mm's
-// contents.
-func LoadMultiMap[V any](d *snapshot.Decoder, mm *MultiMap[V], loadVal func(*snapshot.Decoder, *V)) error {
-	err := LoadMap(d, &mm.m, func(d *snapshot.Decoder, r *listRef) {
-		r.head = d.I32()
-		r.tail = d.I32()
+	snapshot.Slice(s, &mm.nodes, func(s *snapshot.State, nd *mmNode[V]) {
+		val(s, &nd.v)
+		s.I32(&nd.next)
 	})
-	if err != nil {
-		return err
-	}
-	nNodes := d.Len()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	mm.nodes = make([]mmNode[V], nNodes)
-	for i := range mm.nodes {
-		loadVal(d, &mm.nodes[i].v)
-		mm.nodes[i].next = d.I32()
-	}
-	mm.free = d.I32()
-	mm.vals = d.Int()
-	mm.init = d.Bool()
-	if err := d.Err(); err != nil {
-		return err
-	}
+	s.I32(&mm.free)
+	s.Int(&mm.vals)
+	s.Bool(&mm.init)
 	// A never-initialized multimap is all zeros (free == 0 with an empty
 	// arena), so the free-head bound only applies once nodes exist.
-	if mm.free < -1 || (len(mm.nodes) > 0 && int(mm.free) >= len(mm.nodes)) ||
-		(len(mm.nodes) == 0 && mm.free > 0) || mm.vals < 0 {
-		return fmt.Errorf("flatmap: bad multimap free head %d or count %d (%d nodes)", mm.free, mm.vals, len(mm.nodes))
+	if s.Loading() && (mm.free < -1 || (len(mm.nodes) > 0 && int(mm.free) >= len(mm.nodes)) ||
+		(len(mm.nodes) == 0 && mm.free > 0) || mm.vals < 0) {
+		s.Failf("flatmap: bad multimap free head %d or count %d (%d nodes)", mm.free, mm.vals, len(mm.nodes))
 	}
-	return nil
 }

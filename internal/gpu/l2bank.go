@@ -153,7 +153,7 @@ func (b *L2Bank) tick(now uint64, mee meePort, respond func(memdef.Request, uint
 			// data misses to gate the victim cache).
 			b.input.PopFront()
 			_, wbs := b.c.Write(r.Local)
-			b.spill(wbs, r, now, mee)
+			b.spill(wbs, r)
 			continue
 		}
 		switch b.c.Read(r.Local) {
@@ -184,7 +184,7 @@ func (b *L2Bank) tick(now uint64, mee meePort, respond func(memdef.Request, uint
 }
 
 // spill forwards dirty evicted sectors to the MEE as write-backs.
-func (b *L2Bank) spill(wbs []cache.Writeback, template memdef.Request, now uint64, mee meePort) {
+func (b *L2Bank) spill(wbs []cache.Writeback, template memdef.Request) {
 	for _, wb := range wbs {
 		for s := 0; s < memdef.SectorsPerBlock; s++ {
 			if wb.SectorMask&(1<<uint(s)) == 0 {
@@ -197,17 +197,16 @@ func (b *L2Bank) spill(wbs []cache.Writeback, template memdef.Request, now uint6
 			b.toMEE.Push(r)
 		}
 	}
-	_ = now
 }
 
 // onFill installs a sector returned by the MEE and releases its waiters.
-func (b *L2Bank) onFill(local memdef.Addr, now uint64, mee meePort, respond func(memdef.Request, uint64)) {
+func (b *L2Bank) onFill(local memdef.Addr, now uint64, respond func(memdef.Request, uint64)) {
 	sector := memdef.SectorAddr(local)
 	wbs, _ := b.c.Fill(sector)
 	// Fills can evict dirty victims (e.g. from earlier writes).
 	if len(wbs) > 0 {
 		tmpl := memdef.Request{Partition: b.partition, Space: memdef.SpaceGlobal}
-		b.spill(wbs, tmpl, now, mee)
+		b.spill(wbs, tmpl)
 	}
 	b.waiters.Drain(uint64(sector), func(r memdef.Request) { //shm:alloc-ok drain callback capturing two words, built once per fill (not per waiter)
 		respond(r, now)
@@ -223,7 +222,7 @@ func (b *L2Bank) PushVictim(addr memdef.Addr) {
 	wbs, _ := b.c.Fill(addr)
 	if len(wbs) > 0 {
 		tmpl := memdef.Request{Partition: b.partition, Space: memdef.SpaceGlobal}
-		b.spill(wbs, tmpl, 0, nil)
+		b.spill(wbs, tmpl)
 	}
 	b.VictimPushes++
 }
@@ -265,5 +264,5 @@ func (b *L2Bank) nextEvent(now uint64) uint64 {
 // write-backs toward the MEE. The bank must be drained first.
 func (b *L2Bank) flushAll() {
 	tmpl := memdef.Request{Partition: b.partition, Space: memdef.SpaceGlobal}
-	b.spill(b.c.FlushAll(), tmpl, 0, nil)
+	b.spill(b.c.FlushAll(), tmpl)
 }

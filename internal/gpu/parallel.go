@@ -407,7 +407,7 @@ func (e *engine) partTask(k int) {
 	for p := lo; p < hi; p++ {
 		mee := mees[p]
 		for _, r := range mee.Tick(now) {
-			l2[p][s.bankOf(r.Local)].onFill(r.Local, now, mee, respond)
+			l2[p][s.bankOf(r.Local)].onFill(r.Local, now, respond)
 		}
 	}
 

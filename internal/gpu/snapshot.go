@@ -21,21 +21,18 @@ import (
 // parent across those knobs is the whole point. Cold path only.
 
 // StatefulWorkload is the optional Workload extension checkpointing
-// requires: the workload captures its cross-warp state (e.g. the pacing
-// frontier) and restores it into a freshly built instance of the same
-// spec.
+// requires: the workload walks its cross-warp state (e.g. the pacing
+// frontier), restoring it into a freshly built instance of the same spec.
 type StatefulWorkload interface {
 	Workload
-	SaveState(*snapshot.Encoder)
-	LoadState(*snapshot.Decoder) error
+	WalkState(*snapshot.State)
 }
 
-// StatefulWarpProgram is the per-warp analogue: LoadState fast-forwards a
+// StatefulWarpProgram is the per-warp analogue: restoring fast-forwards a
 // freshly created program (wl.NewWarp) to the captured position.
 type StatefulWarpProgram interface {
 	WarpProgram
-	SaveState(*snapshot.Encoder)
-	LoadState(*snapshot.Decoder) error
+	WalkState(*snapshot.State)
 }
 
 // fingerprint hashes the configuration a snapshot is only valid for:
@@ -53,177 +50,77 @@ func (s *System) fingerprint(wlName string) uint64 {
 	return h.Sum64()
 }
 
-func saveMemInst(e *snapshot.Encoder, mi *MemInst) {
-	e.Int(len(mi.Sectors))
-	for _, a := range mi.Sectors {
-		e.U64(uint64(a))
-	}
-	e.Bool(mi.Write)
-	e.U8(uint8(mi.Space))
-	e.Bool(mi.Stall)
+func (mi *MemInst) walkState(s *snapshot.State) {
+	snapshot.Slice(s, &mi.Sectors, func(s *snapshot.State, a *memdef.Addr) {
+		s.U64((*uint64)(a))
+	})
+	s.Bool(&mi.Write)
+	s.U8((*uint8)(&mi.Space))
+	s.Bool(&mi.Stall)
 }
 
-func loadMemInst(d *snapshot.Decoder, mi *MemInst) error {
-	n := d.Len()
-	if err := d.Err(); err != nil {
-		return err
+// walkState saves or restores an SM. Loading rebuilds the warp programs
+// via wl.NewWarp for kernel and immediately fast-forwards each from the
+// stream.
+func (sm *SM) walkState(s *snapshot.State, wl Workload, kernel int) {
+	s.Int(&sm.lastWarp)
+	s.U64(&sm.Instructions)
+	s.U64(&sm.Loads)
+	s.U64(&sm.Stores)
+	sm.l1.WalkState(s)
+	flatmap.WalkMultiMap(s, &sm.l1Waiters, (*snapshot.State).I32)
+	ringbuf.Walk(s, &sm.missQueue, func(s *snapshot.State, r *smRequest) {
+		s.U64((*uint64)(&r.addr))
+		s.Bool(&r.write)
+		s.U8((*uint8)(&r.space))
+		s.Int(&r.sm)
+		s.Int(&r.warp)
+	})
+	if s.Loading() {
+		sm.warps = make([]warpState, sm.cfg.WarpsPerSM)
 	}
-	mi.Sectors = nil
-	if n > 0 {
-		mi.Sectors = make([]memdef.Addr, n)
-		for i := range mi.Sectors {
-			mi.Sectors[i] = memdef.Addr(d.U64())
+	s.Match("warps per SM", len(sm.warps))
+	for w := range sm.warps {
+		ws := &sm.warps[w]
+		s.Int(&ws.computeLeft)
+		ws.pendingMem.walkState(s)
+		s.Bool(&ws.haveMem)
+		s.Int(&ws.outstanding)
+		s.U64(&ws.readyAt)
+		s.Bool(&ws.done)
+		if s.Loading() {
+			if s.Err() != nil {
+				return // a failed restore seeds no further programs
+			}
+			ws.prog = wl.NewWarp(kernel, sm.id, w)
 		}
-	}
-	mi.Write = d.Bool()
-	mi.Space = memdef.Space(d.U8())
-	mi.Stall = d.Bool()
-	return d.Err()
-}
-
-func (s *SM) saveState(e *snapshot.Encoder) error {
-	e.Int(s.lastWarp)
-	e.U64(s.Instructions)
-	e.U64(s.Loads)
-	e.U64(s.Stores)
-	s.l1.SaveState(e)
-	flatmap.SaveMultiMap(e, &s.l1Waiters, func(e *snapshot.Encoder, v *int32) {
-		e.I32(*v)
-	})
-	ringbuf.Save(e, &s.missQueue, func(e *snapshot.Encoder, r *smRequest) {
-		e.U64(uint64(r.addr))
-		e.Bool(r.write)
-		e.U8(uint8(r.space))
-		e.Int(r.sm)
-		e.Int(r.warp)
-	})
-	e.Int(len(s.warps))
-	for w := range s.warps {
-		ws := &s.warps[w]
-		e.Int(ws.computeLeft)
-		saveMemInst(e, &ws.pendingMem)
-		e.Bool(ws.haveMem)
-		e.Int(ws.outstanding)
-		e.U64(ws.readyAt)
-		e.Bool(ws.done)
 		prog, ok := ws.prog.(StatefulWarpProgram)
 		if !ok {
-			return fmt.Errorf("gpu: sm %d warp %d program (%T) is not snapshottable", s.id, w, ws.prog)
+			s.Failf("gpu: sm %d warp %d program (%T) is not snapshottable", sm.id, w, ws.prog)
+			return
 		}
-		prog.SaveState(e)
+		prog.WalkState(s)
 	}
-	return nil
 }
 
-// loadState restores an SM; warp programs are rebuilt via wl.NewWarp for
-// kernel and immediately fast-forwarded from the stream.
-func (s *SM) loadState(d *snapshot.Decoder, wl Workload, kernel int) error {
-	s.lastWarp = d.Int()
-	s.Instructions = d.U64()
-	s.Loads = d.U64()
-	s.Stores = d.U64()
-	if err := s.l1.LoadState(d); err != nil {
-		return err
-	}
-	err := flatmap.LoadMultiMap(d, &s.l1Waiters, func(d *snapshot.Decoder, v *int32) {
-		*v = d.I32()
+func (b *L2Bank) walkState(s *snapshot.State) {
+	b.c.WalkState(s)
+	flatmap.WalkMultiMap(s, &b.waiters, func(s *snapshot.State, r *memdef.Request) {
+		r.WalkState(s)
 	})
-	if err != nil {
-		return err
-	}
-	err = ringbuf.Load(d, &s.missQueue, func(d *snapshot.Decoder, r *smRequest) {
-		r.addr = memdef.Addr(d.U64())
-		r.write = d.Bool()
-		r.space = memdef.Space(d.U8())
-		r.sm = d.Int()
-		r.warp = d.Int()
+	ringbuf.Walk(s, &b.input, func(s *snapshot.State, lr *l2Request) {
+		lr.req.WalkState(s)
+		s.U64(&lr.arrived)
 	})
-	if err != nil {
-		return err
-	}
-	nWarps := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if nWarps != s.cfg.WarpsPerSM {
-		return fmt.Errorf("gpu: sm %d snapshot has %d warps, config has %d", s.id, nWarps, s.cfg.WarpsPerSM)
-	}
-	s.warps = make([]warpState, nWarps)
-	for w := range s.warps {
-		ws := &s.warps[w]
-		ws.computeLeft = d.Int()
-		if err := loadMemInst(d, &ws.pendingMem); err != nil {
-			return err
-		}
-		ws.haveMem = d.Bool()
-		ws.outstanding = d.Int()
-		ws.readyAt = d.U64()
-		ws.done = d.Bool()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		prog, ok := wl.NewWarp(kernel, s.id, w).(StatefulWarpProgram)
-		if !ok {
-			return fmt.Errorf("gpu: sm %d warp %d program is not snapshottable", s.id, w)
-		}
-		if err := prog.LoadState(d); err != nil {
-			return err
-		}
-		ws.prog = prog
-	}
-	return d.Err()
-}
-
-func (b *L2Bank) saveState(e *snapshot.Encoder) {
-	b.c.SaveState(e)
-	flatmap.SaveMultiMap(e, &b.waiters, func(e *snapshot.Encoder, r *memdef.Request) {
-		r.SaveState(e)
+	ringbuf.Walk(s, &b.toMEE, func(s *snapshot.State, r *memdef.Request) {
+		r.WalkState(s)
 	})
-	ringbuf.Save(e, &b.input, func(e *snapshot.Encoder, lr *l2Request) {
-		lr.req.SaveState(e)
-		e.U64(lr.arrived)
-	})
-	ringbuf.Save(e, &b.toMEE, func(e *snapshot.Encoder, r *memdef.Request) {
-		r.SaveState(e)
-	})
-	e.U64(b.sampleAccesses)
-	e.U64(b.sampleMisses)
-	e.F64(b.sampledRate)
-	e.Bool(b.haveSample)
-	e.U64(b.VictimHits)
-	e.U64(b.VictimPushes)
-}
-
-func (b *L2Bank) loadState(d *snapshot.Decoder) error {
-	if err := b.c.LoadState(d); err != nil {
-		return err
-	}
-	err := flatmap.LoadMultiMap(d, &b.waiters, func(d *snapshot.Decoder, r *memdef.Request) {
-		r.LoadState(d)
-	})
-	if err != nil {
-		return err
-	}
-	err = ringbuf.Load(d, &b.input, func(d *snapshot.Decoder, lr *l2Request) {
-		lr.req.LoadState(d)
-		lr.arrived = d.U64()
-	})
-	if err != nil {
-		return err
-	}
-	err = ringbuf.Load(d, &b.toMEE, func(d *snapshot.Decoder, r *memdef.Request) {
-		r.LoadState(d)
-	})
-	if err != nil {
-		return err
-	}
-	b.sampleAccesses = d.U64()
-	b.sampleMisses = d.U64()
-	b.sampledRate = d.F64()
-	b.haveSample = d.Bool()
-	b.VictimHits = d.U64()
-	b.VictimPushes = d.U64()
-	return d.Err()
+	s.U64(&b.sampleAccesses)
+	s.U64(&b.sampleMisses)
+	s.F64(&b.sampledRate)
+	s.Bool(&b.haveSample)
+	s.U64(&b.VictimHits)
+	s.U64(&b.VictimPushes)
 }
 
 // SaveState captures the complete simulator state at a paused RunUntil
@@ -248,184 +145,93 @@ func (s *System) SaveState(e *snapshot.Encoder, wl Workload) error {
 		// only counters are outstanding between ticks).
 		s.eng.flushCounters()
 	}
-
-	e.U64(s.fingerprint(wl.Name()))
-	e.U64(s.cycle)
-	e.U64(s.instr)
-	e.Int(s.kernelIdx)
-	e.U64(s.runDeadline)
-
-	e.Int(len(s.sms))
-	for _, sm := range s.sms {
-		if err := sm.saveState(e); err != nil {
-			return err
-		}
-	}
-	e.Int(len(s.toPart))
-	for p := range s.toPart {
-		ringbuf.Save(e, &s.toPart[p], func(e *snapshot.Encoder, x *xbarEntry) {
-			x.r.SaveState(e)
-			e.U64(x.at)
-		})
-	}
-	ringbuf.Save(e, &s.toSM, func(e *snapshot.Encoder, r *respEntry) {
-		e.U64(uint64(r.phys))
-		e.Int(r.sm)
-		e.U64(r.at)
-	})
-	e.Int(len(s.l2))
-	for p := range s.l2 {
-		e.Int(len(s.l2[p]))
-		for _, b := range s.l2[p] {
-			b.saveState(e)
-		}
-	}
-	for _, mee := range s.mees {
-		mee.SaveState(e)
-	}
-	for _, ch := range s.channels {
-		ch.SaveState(e)
-	}
-	// Host-tier presence is fully determined by cfg.HostTier, which the
-	// fingerprint covers, so the blob needs no presence marker.
-	if s.uvm != nil {
-		s.uvm.tier.SaveState(e)
-		e.U64(s.uvm.roTransitions)
-	}
-	swl.SaveState(e)
-	e.Bool(s.tele != nil)
-	if s.tele != nil {
-		s.tele.SaveState(e)
-	}
-	return nil
+	st := snapshot.Saving(e)
+	s.walkState(st, swl)
+	return st.Err()
 }
 
 // LoadState restores a snapshot into a freshly built System. wl must be a
 // fresh instance of the captured workload (same spec and seed); if the
 // parent run had a telemetry collector attached, an equally configured
-// collector must be attached before loading. The workload's state loads
-// last: SM restore rebuilds warp programs via NewWarp, which repopulates
-// shared workload state (e.g. the pacing frontier) as a side effect, and
-// the final workload load overwrites all of it with the captured values.
+// collector must be attached before loading.
 func (s *System) LoadState(d *snapshot.Decoder, wl Workload) error {
 	swl, ok := wl.(StatefulWorkload)
 	if !ok {
 		return fmt.Errorf("gpu: workload %T is not snapshottable", wl)
 	}
-	fp := d.U64()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if want := s.fingerprint(wl.Name()); fp != want {
-		return fmt.Errorf("gpu: snapshot was taken on a different configuration or workload (fingerprint %#x, this system %#x)", fp, want)
-	}
-	s.cycle = d.U64()
-	s.instr = d.U64()
-	s.kernelIdx = d.Int()
-	s.runDeadline = d.U64()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if s.kernelIdx < 0 || s.kernelIdx >= wl.Kernels() {
-		return fmt.Errorf("gpu: snapshot kernel index %d out of range (%d kernels)", s.kernelIdx, wl.Kernels())
-	}
-	s.midKernel = true
-	s.cancelled = false
-	if ga, ok := wl.(GridAware); ok {
-		ga.SetGrid(s.cfg.SMs, s.cfg.WarpsPerSM)
+	st := snapshot.Loading(d)
+	s.walkState(st, swl)
+	return st.Err()
+}
+
+// walkState is the one walk behind SaveState and LoadState. The
+// workload's state comes last: restoring the SMs rebuilds warp programs
+// via NewWarp, which repopulates shared workload state (e.g. the pacing
+// frontier) as a side effect, and the final workload walk overwrites all
+// of it with the captured values.
+func (s *System) walkState(st *snapshot.State, wl StatefulWorkload) {
+	st.Match("gpu configuration and workload fingerprint", s.fingerprint(wl.Name()))
+	st.U64(&s.cycle)
+	st.U64(&s.instr)
+	st.Int(&s.kernelIdx)
+	st.U64(&s.runDeadline)
+	if st.Loading() {
+		if st.Err() != nil {
+			return
+		}
+		if s.kernelIdx < 0 || s.kernelIdx >= wl.Kernels() {
+			st.Failf("gpu: snapshot kernel index %d out of range (%d kernels)", s.kernelIdx, wl.Kernels())
+			return
+		}
+		s.midKernel = true
+		s.cancelled = false
+		if ga, ok := wl.(GridAware); ok {
+			ga.SetGrid(s.cfg.SMs, s.cfg.WarpsPerSM)
+		}
 	}
 
-	nSMs := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if nSMs != len(s.sms) {
-		return fmt.Errorf("gpu: snapshot has %d SMs, this system has %d", nSMs, len(s.sms))
-	}
+	st.Match("SMs", len(s.sms))
 	for _, sm := range s.sms {
-		if err := sm.loadState(d, wl, s.kernelIdx); err != nil {
-			return err
-		}
+		sm.walkState(st, wl, s.kernelIdx)
 	}
-	nParts := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if nParts != len(s.toPart) {
-		return fmt.Errorf("gpu: snapshot has %d partitions, this system has %d", nParts, len(s.toPart))
-	}
+	st.Match("partitions", len(s.toPart))
 	for p := range s.toPart {
-		err := ringbuf.Load(d, &s.toPart[p], func(d *snapshot.Decoder, x *xbarEntry) {
-			x.r.LoadState(d)
-			x.at = d.U64()
+		ringbuf.Walk(st, &s.toPart[p], func(st *snapshot.State, x *xbarEntry) {
+			x.r.WalkState(st)
+			st.U64(&x.at)
 		})
-		if err != nil {
-			return err
-		}
 	}
-	err := ringbuf.Load(d, &s.toSM, func(d *snapshot.Decoder, r *respEntry) {
-		r.phys = memdef.Addr(d.U64())
-		r.sm = d.Int()
-		r.at = d.U64()
+	ringbuf.Walk(st, &s.toSM, func(st *snapshot.State, r *respEntry) {
+		st.U64((*uint64)(&r.phys))
+		st.Int(&r.sm)
+		st.U64(&r.at)
 	})
-	if err != nil {
-		return err
-	}
-	nL2Parts := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if nL2Parts != len(s.l2) {
-		return fmt.Errorf("gpu: snapshot has %d L2 partitions, this system has %d", nL2Parts, len(s.l2))
-	}
+	st.Match("L2 partitions", len(s.l2))
 	for p := range s.l2 {
-		nBanks := d.Int()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if nBanks != len(s.l2[p]) {
-			return fmt.Errorf("gpu: snapshot partition %d has %d L2 banks, this system has %d", p, nBanks, len(s.l2[p]))
-		}
+		st.Match("L2 banks per partition", len(s.l2[p]))
 		for _, b := range s.l2[p] {
-			if err := b.loadState(d); err != nil {
-				return err
-			}
+			b.walkState(st)
 		}
 	}
 	for _, mee := range s.mees {
-		if err := mee.LoadState(d); err != nil {
-			return err
-		}
+		mee.WalkState(st)
 	}
 	for _, ch := range s.channels {
-		if err := ch.LoadState(d); err != nil {
-			return err
-		}
+		ch.WalkState(st)
 	}
+	// Host-tier presence is fully determined by cfg.HostTier, which the
+	// fingerprint covers, so the blob needs no presence marker. A restore
+	// builds the tier, then walks its state into it.
 	if s.cfg.HostTier {
-		// The fingerprint guarantees the snapshot was captured with the
-		// same tier geometry; build the tier then restore its state.
-		s.startUVM(wl)
-		s.uvm.tier.LoadState(d)
-		s.uvm.roTransitions = d.U64()
-		if err := d.Err(); err != nil {
-			return err
+		if st.Loading() {
+			s.startUVM(wl)
 		}
+		s.uvm.tier.WalkState(st)
+		st.U64(&s.uvm.roTransitions)
 	}
-	if err := swl.LoadState(d); err != nil {
-		return err
-	}
-	hadTele := d.Bool()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if hadTele != (s.tele != nil) {
-		return fmt.Errorf("gpu: snapshot telemetry mismatch (captured with collector: %v, this system: %v)", hadTele, s.tele != nil)
-	}
+	wl.WalkState(st)
+	st.Match("telemetry collector attached", s.tele != nil)
 	if s.tele != nil {
-		if err := s.tele.LoadState(d); err != nil {
-			return err
-		}
+		s.tele.WalkState(st)
 	}
-	return d.Err()
 }

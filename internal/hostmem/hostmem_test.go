@@ -338,13 +338,13 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 
 	var e snapshot.Encoder
-	tr.SaveState(&e)
+	tr.WalkState(snapshot.Saving(&e))
 
 	fresh := tier(t, cfg)
 	d := snapshot.NewDecoder(e.Data())
-	fresh.LoadState(d)
+	fresh.WalkState(snapshot.Loading(d))
 	if err := d.Err(); err != nil {
-		t.Fatalf("LoadState: %v", err)
+		t.Fatalf("restore: %v", err)
 	}
 	if fresh.Stats() != tr.Stats() {
 		t.Fatalf("stats diverge: %+v vs %+v", fresh.Stats(), tr.Stats())
@@ -369,7 +369,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	// A tier built under different geometry must refuse the snapshot.
 	other := tier(t, Config{PageBytes: 128, Frames: 2, PCIeLatency: 10, PCIeBytesPerCycle: 16, MetaCycles: 6, ThrashWindow: 100})
 	d2 := snapshot.NewDecoder(e.Data())
-	other.LoadState(d2)
+	other.WalkState(snapshot.Loading(d2))
 	if d2.Err() == nil {
 		t.Error("loading a 64 B-page snapshot into a 128 B-page tier succeeded")
 	}

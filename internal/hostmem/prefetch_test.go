@@ -459,13 +459,13 @@ func TestSnapshotRoundTripWithPrefetch(t *testing.T) {
 	}
 
 	var e snapshot.Encoder
-	tr.SaveState(&e)
+	tr.WalkState(snapshot.Saving(&e))
 
 	fresh := ptier(t, cfg, 32)
 	d := snapshot.NewDecoder(e.Data())
-	fresh.LoadState(d)
+	fresh.WalkState(snapshot.Loading(d))
 	if err := d.Err(); err != nil {
-		t.Fatalf("LoadState: %v", err)
+		t.Fatalf("restore: %v", err)
 	}
 	if fresh.Stats() != tr.Stats() {
 		t.Fatalf("stats diverge: %+v vs %+v", fresh.Stats(), tr.Stats())
@@ -492,7 +492,7 @@ func TestSnapshotRoundTripWithPrefetch(t *testing.T) {
 	sub.SubPageBytes = 32
 	other := ptier(t, sub, 32)
 	d2 := snapshot.NewDecoder(e.Data())
-	other.LoadState(d2)
+	other.WalkState(snapshot.Loading(d2))
 	if d2.Err() == nil {
 		t.Error("loading a whole-page snapshot into a sub-page tier succeeded")
 	}

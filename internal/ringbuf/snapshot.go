@@ -1,10 +1,6 @@
 package ringbuf
 
-import (
-	"fmt"
-
-	"shmgpu/internal/snapshot"
-)
+import "shmgpu/internal/snapshot"
 
 // Checkpoint/restore for rings. Capacity and head are preserved verbatim
 // (elements are written in logical order and placed back at the same
@@ -16,40 +12,28 @@ import (
 // cleanly instead of driving a huge allocation.
 const maxRingCap = 1 << 30
 
-// Save writes r's state. saveEl encodes one element.
-func Save[T any](e *snapshot.Encoder, r *Ring[T], saveEl func(*snapshot.Encoder, *T)) {
-	e.Int(len(r.buf))
-	e.Int(r.head)
-	e.Int(r.n)
+// Walk saves or restores r: capacity, head, length, then every element in
+// logical order through el. Loading replaces r's contents.
+func Walk[T any](s *snapshot.State, r *Ring[T], el func(*snapshot.State, *T)) {
+	capN, head, n := len(r.buf), r.head, r.n
+	s.Int(&capN)
+	s.Int(&head)
+	s.Int(&n)
+	if s.Loading() {
+		if capN < 0 || capN > maxRingCap || (capN != 0 && capN&(capN-1) != 0) {
+			s.Failf("ringbuf: bad capacity %d", capN)
+			return
+		}
+		if n < 0 || n > capN || head < 0 || head > capN || (head == capN && capN != 0) {
+			s.Failf("ringbuf: bad head %d / length %d for capacity %d", head, n, capN)
+			return
+		}
+		*r = Ring[T]{head: head, n: n}
+		if capN > 0 {
+			r.buf = make([]T, capN)
+		}
+	}
 	for i := 0; i < r.n; i++ {
-		saveEl(e, r.At(i))
+		el(s, r.At(i))
 	}
-}
-
-// Load restores a ring saved by Save, replacing r's contents. loadEl
-// decodes one element in place.
-func Load[T any](d *snapshot.Decoder, r *Ring[T], loadEl func(*snapshot.Decoder, *T)) error {
-	capN := d.Int()
-	head := d.Int()
-	n := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if capN < 0 || capN > maxRingCap || (capN != 0 && capN&(capN-1) != 0) {
-		return fmt.Errorf("ringbuf: bad capacity %d", capN)
-	}
-	if n < 0 || n > capN || head < 0 || head > capN || (head == capN && capN != 0) {
-		return fmt.Errorf("ringbuf: bad head %d / length %d for capacity %d", head, n, capN)
-	}
-	if capN == 0 {
-		*r = Ring[T]{}
-		return nil
-	}
-	r.buf = make([]T, capN)
-	r.head = head
-	r.n = n
-	for i := 0; i < n; i++ {
-		loadEl(d, r.At(i))
-	}
-	return d.Err()
 }

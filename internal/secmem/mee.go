@@ -327,7 +327,7 @@ func (m *MEE) OraclePreloadStreaming(lo, hi memdef.Addr, streaming bool) {
 // in the range for the maximum major counter, advances the shared counter
 // past it, and re-marks the regions read-only. The scan's DRAM traffic is
 // charged as counter reads.
-func (m *MEE) InputReadOnlyReset(lo, hi memdef.Addr, now uint64) {
+func (m *MEE) InputReadOnlyReset(lo, hi memdef.Addr) {
 	if !m.cfg.Enabled || !m.cfg.ReadOnlyOpt || hi <= lo {
 		return
 	}
@@ -353,7 +353,6 @@ func (m *MEE) InputReadOnlyReset(lo, hi memdef.Addr, now uint64) {
 		}
 	}
 	m.Reg.Inc("input_readonly_reset")
-	_ = now
 }
 
 // HostOverwrite models a mid-context host→device copy WITHOUT the reset
@@ -455,7 +454,7 @@ func (m *MEE) Tick(now uint64) []memdef.Request {
 		if m.cfg.Enabled {
 			m.process(e.req, e.at, now)
 		} else {
-			m.passthrough(e.req, e.at, now)
+			m.passthrough(e.req, e.at)
 		}
 		issued++
 	}
@@ -501,7 +500,7 @@ func (m *MEE) releaseTxn(t *txn) {
 }
 
 // passthrough is the insecure baseline: data requests go straight to DRAM.
-func (m *MEE) passthrough(r memdef.Request, submitAt, now uint64) {
+func (m *MEE) passthrough(r memdef.Request, submitAt uint64) {
 	if r.Kind == memdef.Write {
 		m.send(m.cfg.Partition, dram.Req{Local: r.Local, Kind: memdef.Write, Class: stats.TrafficData}, pendingEntry{kind: pkMisc})
 		return
@@ -511,7 +510,6 @@ func (m *MEE) passthrough(r memdef.Request, submitAt, now uint64) {
 	t.haveOTP = true
 	t.submitAt = submitAt
 	m.send(m.cfg.Partition, dram.Req{Local: r.Local, Kind: memdef.Read, Class: stats.TrafficData}, pendingEntry{kind: pkData, txn: t})
-	_ = now
 }
 
 // send buffers a DRAM request and registers its completion entry. Tokens
@@ -819,7 +817,7 @@ func (m *MEE) processRead(r memdef.Request, meta memdef.Addr, ro, streaming bool
 
 	// MAC fetch: off the critical path (data is forwarded speculatively;
 	// a verification failure raises an exception later).
-	m.macFetch(meta, streaming, memdef.Read)
+	m.macFetch(meta, streaming)
 }
 
 func (m *MEE) processWrite(r memdef.Request, meta memdef.Addr, ro, streaming bool, now uint64) {
@@ -838,7 +836,7 @@ func (m *MEE) processWrite(r memdef.Request, meta memdef.Addr, ro, streaming boo
 		}
 		if transition {
 			m.Reg.Inc("ro_transition")
-			m.propagateSharedCounter(r.Local, meta)
+			m.propagateSharedCounter(meta)
 			ro = false
 		}
 	}
@@ -909,7 +907,7 @@ func (m *MEE) divergePage(meta memdef.Addr) {
 // propagateSharedCounter performs the Fig. 8 burst: the region's counter
 // blocks take the shared counter as their major counter (dirty counter-
 // cache updates) and the BMT grows to cover them (leaf updates).
-func (m *MEE) propagateSharedCounter(local, meta memdef.Addr) {
+func (m *MEE) propagateSharedCounter(meta memdef.Addr) {
 	regionMeta := memdef.RegionAddr(meta)
 	for off := memdef.Addr(0); off < memdef.RegionSize; off += metadata.CounterCoverage {
 		blockMeta := regionMeta + off
@@ -919,7 +917,6 @@ func (m *MEE) propagateSharedCounter(local, meta memdef.Addr) {
 		}
 		m.bmtLeafUpdate(blockMeta)
 	}
-	_ = local
 }
 
 // bmtWalk charges the read-path BMT traversal for a counter miss: walk up
@@ -962,7 +959,7 @@ func (m *MEE) bmtLeafUpdate(meta memdef.Addr) {
 
 // macFetch charges the integrity-verification fetch for a read or the
 // pre-update fetch check for a write.
-func (m *MEE) macFetch(meta memdef.Addr, streaming bool, kind memdef.AccessKind) {
+func (m *MEE) macFetch(meta memdef.Addr, streaming bool) {
 	var addr memdef.Addr
 	if streaming {
 		addr = m.layout.ChunkMACAddr(meta)
@@ -970,7 +967,6 @@ func (m *MEE) macFetch(meta memdef.Addr, streaming bool, kind memdef.AccessKind)
 		addr = m.layout.BlockMACAddr(meta)
 	}
 	m.mdcRead(m.macCache, pkMAC, m.macSectors(addr), stats.TrafficMAC)
-	_ = kind
 }
 
 // scheduleOTPKnown finalizes a txn whose OTP completion time is known.
@@ -1102,7 +1098,6 @@ func (m *MEE) applyDetection(det detectors.Detection, now uint64) {
 		// RO read stream: per-block MACs were valid; zero overhead.
 	}
 	m.stPred.Train(det.Chunk, det.Streaming)
-	_ = now
 }
 
 // OnDRAMComplete routes a finished DRAM request back into the MEE.

@@ -355,7 +355,7 @@ func TestInputReadOnlyReset(t *testing.T) {
 		p.deliver(m, cycle)
 	}
 	shared := m.SharedCounter()
-	m.InputReadOnlyReset(0, memdef.RegionSize, cycle)
+	m.InputReadOnlyReset(0, memdef.RegionSize)
 	if m.SharedCounter() <= shared {
 		t.Error("shared counter not advanced by reset")
 	}

@@ -1,19 +1,16 @@
 package secmem
 
 import (
-	"fmt"
-	"sort"
+	"slices"
 
-	"shmgpu/internal/dram"
 	"shmgpu/internal/flatmap"
-	"shmgpu/internal/memdef"
 	"shmgpu/internal/ringbuf"
 	"shmgpu/internal/snapshot"
 )
 
 // Checkpoint/restore for the MEE. The restore target must be built by
 // NewMEE with the identical config; structural parameters are validated
-// by the embedded cache/predictor loaders plus the feature flags here.
+// by the embedded cache/predictor walks plus the feature flags here.
 //
 // The pooled transactions need special handling: live *txn pointers are
 // shared between the pending table, the counter-wait lists, and the ready
@@ -30,38 +27,6 @@ import (
 // (responses is drained by the caller within the same tick; its length is
 // serialized anyway and asserted empty on restore via Idle-compatible
 // content). Cold path only.
-
-func saveOracle(e *snapshot.Encoder, m map[uint64]bool) {
-	keys := make([]uint64, 0, len(m))
-	for k := range m { //shmlint:allow maprange — keys are sorted before use
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	e.Int(len(keys))
-	for _, k := range keys {
-		e.U64(k)
-		e.Bool(m[k])
-	}
-}
-
-func loadOracle(d *snapshot.Decoder, m map[uint64]bool) error {
-	n := d.Len()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	for k := range m { //shmlint:allow maprange — clearing; order-insensitive
-		delete(m, k)
-	}
-	for i := 0; i < n; i++ {
-		k := d.U64()
-		v := d.Bool()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		m[k] = v
-	}
-	return nil
-}
 
 // collectTxns walks every structure holding *txn references in canonical
 // order and returns the distinct transactions in first-encounter order
@@ -89,219 +54,102 @@ func (m *MEE) collectTxns() ([]*txn, map[*txn]int) {
 	return order, ids
 }
 
-// SaveState writes the MEE's mutable state.
-func (m *MEE) SaveState(e *snapshot.Encoder) {
-	e.Bool(m.cfg.Enabled)
-	e.Bool(m.cfg.OracleDetectors)
-	e.Bool(m.cfg.TrackAccuracy)
+// WalkState saves or restores the MEE's mutable state. Loading rebuilds
+// the transaction table and resolves every identifier against it.
+func (m *MEE) WalkState(s *snapshot.State) {
+	s.Match("MEE enabled", m.cfg.Enabled)
+	s.Match("MEE oracle detectors", m.cfg.OracleDetectors)
+	s.Match("MEE accuracy tracking", m.cfg.TrackAccuracy)
 	if m.cfg.Enabled {
-		m.ctrCache.SaveState(e)
-		m.macCache.SaveState(e)
-		m.bmtCache.SaveState(e)
-		m.roPred.SaveState(e)
-		m.stPred.SaveState(e)
-		m.mats.SaveState(e)
+		m.ctrCache.WalkState(s)
+		m.macCache.WalkState(s)
+		m.bmtCache.WalkState(s)
+		m.roPred.WalkState(s)
+		m.stPred.WalkState(s)
+		m.mats.WalkState(s)
 		if m.cfg.OracleDetectors {
-			saveOracle(e, m.roOracle)
-			saveOracle(e, m.stOracle)
+			snapshot.SortedMap(s, &m.roOracle, (*snapshot.State).Bool)
+			snapshot.SortedMap(s, &m.stOracle, (*snapshot.State).Bool)
 		}
 		if m.cfg.TrackAccuracy {
-			m.roAcc.SaveState(e)
-			m.stAcc.SaveState(e)
+			m.roAcc.WalkState(s)
+			m.stAcc.WalkState(s)
 		}
 	}
-	flatmap.SaveMap(e, &m.diverged, func(*snapshot.Encoder, *struct{}) {})
-	e.U64(m.sharedCounter)
-	ringbuf.Save(e, &m.input, func(e *snapshot.Encoder, en *inputEntry) {
-		en.req.SaveState(e)
-		e.U64(en.at)
+	flatmap.WalkMap(s, &m.diverged, func(*snapshot.State, *struct{}) {})
+	s.U64(&m.sharedCounter)
+	ringbuf.Walk(s, &m.input, func(s *snapshot.State, en *inputEntry) {
+		en.req.WalkState(s)
+		s.U64(&en.at)
 	})
-	ringbuf.Save(e, &m.outgoing, func(e *snapshot.Encoder, o *outgoing) {
-		e.Int(o.part)
-		dram.SaveReq(e, &o.req)
+	ringbuf.Walk(s, &m.outgoing, func(s *snapshot.State, o *outgoing) {
+		s.Int(&o.part)
+		o.req.WalkState(s)
 	})
 
-	order, ids := m.collectTxns()
-	id := func(t *txn) int {
-		if t == nil {
-			return -1
+	var table []*txn
+	var ids map[*txn]int
+	if !s.Loading() {
+		table, ids = m.collectTxns()
+	}
+	snapshot.Slice(s, &table, func(s *snapshot.State, pt **txn) {
+		if s.Loading() {
+			*pt = &txn{}
 		}
-		return ids[t]
-	}
-	e.Int(len(order))
-	for _, t := range order {
-		t.req.SaveState(e)
-		e.Bool(t.haveData)
-		e.Bool(t.haveOTP)
-		e.U64(t.otpAt)
-		e.U64(t.dataAt)
-		e.U64(t.submitAt)
-		e.Bool(t.enqueued)
-	}
-	flatmap.SaveMap(e, &m.pending, func(e *snapshot.Encoder, pe *pendingEntry) {
-		e.U8(uint8(pe.kind))
-		e.U64(uint64(pe.key))
-		e.Int(id(pe.txn))
+		t := *pt
+		t.req.WalkState(s)
+		s.Bool(&t.haveData)
+		s.Bool(&t.haveOTP)
+		s.U64(&t.otpAt)
+		s.U64(&t.dataAt)
+		s.U64(&t.submitAt)
+		s.Bool(&t.enqueued)
 	})
-	flatmap.SaveMultiMap(e, &m.ctrWait, func(e *snapshot.Encoder, v **txn) {
-		e.Int(id(*v))
+	// ref walks one transaction reference as its table identifier (-1 for
+	// nil).
+	ref := func(s *snapshot.State, pt **txn) {
+		id := -1
+		if *pt != nil {
+			id = ids[*pt]
+		}
+		s.Int(&id)
+		if !s.Loading() {
+			return
+		}
+		*pt = nil
+		if id < -1 || id >= len(table) {
+			s.Failf("secmem[%d]: transaction id %d out of range (%d transactions)", m.cfg.Partition, id, len(table))
+		} else if id >= 0 {
+			*pt = table[id]
+		}
+	}
+	flatmap.WalkMap(s, &m.pending, func(s *snapshot.State, pe *pendingEntry) {
+		s.U8((*uint8)(&pe.kind))
+		s.U64((*uint64)(&pe.key))
+		ref(s, &pe.txn)
 	})
-	e.Int(len(m.ready))
+	flatmap.WalkMultiMap(s, &m.ctrWait, ref)
+	// ready and responses keep their backing arrays across a restore.
+	n := s.Len(len(m.ready))
+	if s.Loading() {
+		m.ready = slices.Grow(m.ready[:0], n)[:n]
+	}
 	for i := range m.ready {
-		e.U64(m.ready[i].at)
-		e.Int(id(m.ready[i].t))
+		s.U64(&m.ready[i].at)
+		ref(s, &m.ready[i].t)
 	}
-	e.Int(len(m.responses))
+	n = s.Len(len(m.responses))
+	if s.Loading() {
+		m.responses = slices.Grow(m.responses[:0], n)[:n]
+	}
 	for i := range m.responses {
-		m.responses[i].SaveState(e)
+		m.responses[i].WalkState(s)
 	}
-	e.U64(m.nextToken)
-	e.U64(m.aesFree)
-	e.U64(m.lastTick)
-	m.Reg.SaveState(e)
-}
-
-// LoadState restores state saved by SaveState into a same-configured MEE.
-func (m *MEE) LoadState(d *snapshot.Decoder) error {
-	enabled := d.Bool()
-	oracle := d.Bool()
-	accuracy := d.Bool()
-	if err := d.Err(); err != nil {
-		return err
+	s.U64(&m.nextToken)
+	s.U64(&m.aesFree)
+	s.U64(&m.lastTick)
+	if s.Loading() {
+		m.txnFree = m.txnFree[:0]
 	}
-	if enabled != m.cfg.Enabled || oracle != m.cfg.OracleDetectors || accuracy != m.cfg.TrackAccuracy {
-		return fmt.Errorf("secmem[%d]: snapshot MEE features {enabled=%v oracle=%v accuracy=%v} do not match target {%v %v %v}",
-			m.cfg.Partition, enabled, oracle, accuracy, m.cfg.Enabled, m.cfg.OracleDetectors, m.cfg.TrackAccuracy)
-	}
-	if m.cfg.Enabled {
-		for _, step := range []func(*snapshot.Decoder) error{
-			m.ctrCache.LoadState, m.macCache.LoadState, m.bmtCache.LoadState,
-			m.roPred.LoadState, m.stPred.LoadState, m.mats.LoadState,
-		} {
-			if err := step(d); err != nil {
-				return err
-			}
-		}
-		if m.cfg.OracleDetectors {
-			if err := loadOracle(d, m.roOracle); err != nil {
-				return err
-			}
-			if err := loadOracle(d, m.stOracle); err != nil {
-				return err
-			}
-		}
-		if m.cfg.TrackAccuracy {
-			if err := m.roAcc.LoadState(d); err != nil {
-				return err
-			}
-			if err := m.stAcc.LoadState(d); err != nil {
-				return err
-			}
-		}
-	}
-	err := flatmap.LoadMap(d, &m.diverged, func(*snapshot.Decoder, *struct{}) {})
-	if err != nil {
-		return err
-	}
-	m.sharedCounter = d.U64()
-	err = ringbuf.Load(d, &m.input, func(d *snapshot.Decoder, en *inputEntry) {
-		en.req.LoadState(d)
-		en.at = d.U64()
-	})
-	if err != nil {
-		return err
-	}
-	err = ringbuf.Load(d, &m.outgoing, func(d *snapshot.Decoder, o *outgoing) {
-		o.part = d.Int()
-		dram.LoadReq(d, &o.req)
-	})
-	if err != nil {
-		return err
-	}
-
-	nTxns := d.Len()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	table := make([]*txn, nTxns)
-	for i := range table {
-		t := &txn{}
-		t.req.LoadState(d)
-		t.haveData = d.Bool()
-		t.haveOTP = d.Bool()
-		t.otpAt = d.U64()
-		t.dataAt = d.U64()
-		t.submitAt = d.U64()
-		t.enqueued = d.Bool()
-		table[i] = t
-	}
-	if err := d.Err(); err != nil {
-		return err
-	}
-	byID := func(id int) (*txn, error) {
-		if id == -1 {
-			return nil, nil
-		}
-		if id < 0 || id >= nTxns {
-			return nil, fmt.Errorf("secmem[%d]: transaction id %d out of range (%d transactions)", m.cfg.Partition, id, nTxns)
-		}
-		return table[id], nil
-	}
-	var refErr error
-	err = flatmap.LoadMap(d, &m.pending, func(d *snapshot.Decoder, pe *pendingEntry) {
-		pe.kind = pendingKind(d.U8())
-		pe.key = memdef.Addr(d.U64())
-		t, err := byID(d.Int())
-		if err != nil && refErr == nil {
-			refErr = err
-		}
-		pe.txn = t
-	})
-	if err != nil {
-		return err
-	}
-	err = flatmap.LoadMultiMap(d, &m.ctrWait, func(d *snapshot.Decoder, v **txn) {
-		t, err := byID(d.Int())
-		if err != nil && refErr == nil {
-			refErr = err
-		}
-		*v = t
-	})
-	if err != nil {
-		return err
-	}
-	nReady := d.Len()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	m.ready = m.ready[:0]
-	for i := 0; i < nReady; i++ {
-		at := d.U64()
-		t, err := byID(d.Int())
-		if err != nil && refErr == nil {
-			refErr = err
-		}
-		m.ready = append(m.ready, readyTxn{at: at, t: t})
-	}
-	if refErr != nil {
-		return refErr
-	}
-	nResp := d.Len()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	m.responses = m.responses[:0]
-	for i := 0; i < nResp; i++ {
-		var r memdef.Request
-		r.LoadState(d)
-		m.responses = append(m.responses, r)
-	}
-	m.nextToken = d.U64()
-	m.aesFree = d.U64()
-	m.lastTick = d.U64()
-	m.txnFree = m.txnFree[:0]
-	if err := m.Reg.LoadState(d); err != nil {
-		return err
-	}
-	return d.Err()
+	m.Reg.WalkState(s)
 }

@@ -1,9 +1,12 @@
 // Package snapshot implements the deterministic, versioned binary
 // serialization format used to checkpoint and fork complete simulator
 // state. The format is a flat little-endian byte stream with no
-// self-description: every reader must consume exactly the fields the
-// writer produced, in the same order, which is enforced end-to-end by the
-// fork-vs-scratch byte-equality tests rather than by per-field tags.
+// self-description: a reader consumes exactly the fields the writer
+// produced, in the same order. Each stateful type writes that order down
+// once, as a walk over its fields on a State, which wraps an Encoder to
+// save and a Decoder to restore — the same walk does both, so the two
+// directions cannot drift. The fork-vs-scratch byte-equality tests and
+// the format-identity corpus pin the result end to end.
 //
 // The file container (file.go) wraps a payload with a magic string, an
 // explicit format version, the payload length, and an FNV-1a content

@@ -4,87 +4,50 @@ import "shmgpu/internal/snapshot"
 
 // Checkpoint/restore for the counter types. All cold path.
 
-// SaveState writes the per-class byte counters.
-func (t *Traffic) SaveState(e *snapshot.Encoder) {
-	for i := 0; i < NumTrafficClasses; i++ {
-		e.U64(t.ReadBytes[i])
+// WalkState saves or restores the per-class byte counters.
+func (t *Traffic) WalkState(s *snapshot.State) {
+	for i := range t.ReadBytes {
+		s.U64(&t.ReadBytes[i])
 	}
-	for i := 0; i < NumTrafficClasses; i++ {
-		e.U64(t.WriteBytes[i])
-	}
-}
-
-// LoadState restores counters saved by SaveState; check the decoder's Err
-// after the containing section.
-func (t *Traffic) LoadState(d *snapshot.Decoder) {
-	for i := 0; i < NumTrafficClasses; i++ {
-		t.ReadBytes[i] = d.U64()
-	}
-	for i := 0; i < NumTrafficClasses; i++ {
-		t.WriteBytes[i] = d.U64()
+	for i := range t.WriteBytes {
+		s.U64(&t.WriteBytes[i])
 	}
 }
 
-// SaveState writes the cache counters.
-func (c *CacheStats) SaveState(e *snapshot.Encoder) {
-	e.U64(c.Hits)
-	e.U64(c.Misses)
-	e.U64(c.MSHRMerges)
-	e.U64(c.Evictions)
-	e.U64(c.Writebacks)
-	e.U64(c.SectorFills)
+// WalkState saves or restores the cache counters.
+func (c *CacheStats) WalkState(s *snapshot.State) {
+	s.U64(&c.Hits)
+	s.U64(&c.Misses)
+	s.U64(&c.MSHRMerges)
+	s.U64(&c.Evictions)
+	s.U64(&c.Writebacks)
+	s.U64(&c.SectorFills)
 }
 
-// LoadState restores counters saved by SaveState.
-func (c *CacheStats) LoadState(d *snapshot.Decoder) {
-	c.Hits = d.U64()
-	c.Misses = d.U64()
-	c.MSHRMerges = d.U64()
-	c.Evictions = d.U64()
-	c.Writebacks = d.U64()
-	c.SectorFills = d.U64()
-}
-
-// SaveState writes the outcome breakdown.
-func (p *PredictorStats) SaveState(e *snapshot.Encoder) {
+// WalkState saves or restores the outcome breakdown.
+func (p *PredictorStats) WalkState(s *snapshot.State) {
 	for i := range p.Counts {
-		e.U64(p.Counts[i])
+		s.U64(&p.Counts[i])
 	}
 }
 
-// LoadState restores a breakdown saved by SaveState.
-func (p *PredictorStats) LoadState(d *snapshot.Decoder) {
-	for i := range p.Counts {
-		p.Counts[i] = d.U64()
+// WalkState saves or restores every counter in sorted-name order.
+// Zero-valued counters are included: the key set itself is observable
+// through Snapshot, so it must survive the round trip exactly. Loading
+// replaces r's counters with the saved set.
+func (r *Registry) WalkState(s *snapshot.State) {
+	var snap []CounterValue
+	if !s.Loading() {
+		snap = r.Snapshot()
 	}
-}
-
-// SaveState writes every counter in sorted-name order. Zero-valued
-// counters are included: the key set itself is observable through
-// Snapshot, so it must survive the round trip exactly.
-func (r *Registry) SaveState(e *snapshot.Encoder) {
-	snap := r.Snapshot()
-	e.Int(len(snap))
-	for _, cv := range snap {
-		e.String(cv.Name)
-		e.U64(cv.Value)
-	}
-}
-
-// LoadState replaces r's counters with the saved set.
-func (r *Registry) LoadState(d *snapshot.Decoder) error {
-	n := d.Len()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	r.counters = nil
-	for i := 0; i < n; i++ {
-		name := d.String()
-		v := d.U64()
-		if err := d.Err(); err != nil {
-			return err
+	snapshot.Slice(s, &snap, func(s *snapshot.State, cv *CounterValue) {
+		s.String(&cv.Name)
+		s.U64(&cv.Value)
+	})
+	if s.Loading() {
+		r.counters = nil
+		for _, cv := range snap {
+			r.Add(cv.Name, cv.Value)
 		}
-		r.Add(name, v)
 	}
-	return nil
 }

@@ -1,10 +1,6 @@
 package telemetry
 
-import (
-	"fmt"
-
-	"shmgpu/internal/snapshot"
-)
+import "shmgpu/internal/snapshot"
 
 // Checkpoint/restore for the collector. A forked run must produce
 // byte-identical telemetry artifacts (JSONL, timeline, histograms) to a
@@ -13,142 +9,59 @@ import (
 // simulator state proper. The restore target must be a collector built by
 // New with the identical (normalized) config. Cold path only.
 
-func (h *Histogram) saveState(e *snapshot.Encoder) {
+func (h *Histogram) walkState(s *snapshot.State) {
 	for i := range h.counts {
-		e.U64(h.counts[i])
+		s.U64(&h.counts[i])
 	}
-	e.U64(h.n)
-	e.U64(h.sum)
-	e.U64(h.max)
+	s.U64(&h.n)
+	s.U64(&h.sum)
+	s.U64(&h.max)
 }
 
-func (h *Histogram) loadState(d *snapshot.Decoder) {
-	for i := range h.counts {
-		h.counts[i] = d.U64()
-	}
-	h.n = d.U64()
-	h.sum = d.U64()
-	h.max = d.U64()
+func walkEvent(s *snapshot.State, ev *Event) {
+	s.U64(&ev.Cycle)
+	s.U8((*uint8)(&ev.Kind))
+	s.U8(&ev.Class)
+	s.I16(&ev.Part)
+	s.I16(&ev.Unit)
+	s.U64(&ev.Value)
 }
 
-func saveEvent(e *snapshot.Encoder, ev *Event) {
-	e.U64(ev.Cycle)
-	e.U8(uint8(ev.Kind))
-	e.U8(ev.Class)
-	e.I16(ev.Part)
-	e.I16(ev.Unit)
-	e.U64(ev.Value)
-}
-
-func loadEvent(d *snapshot.Decoder, ev *Event) {
-	ev.Cycle = d.U64()
-	ev.Kind = EventKind(d.U8())
-	ev.Class = d.U8()
-	ev.Part = d.I16()
-	ev.Unit = d.I16()
-	ev.Value = d.U64()
-}
-
-func saveSample(e *snapshot.Encoder, s *Snapshot) {
-	e.U64(s.Cycle)
-	e.U64(s.Instructions)
-	s.Traffic.SaveState(e)
-	s.L1.SaveState(e)
-	s.L2.SaveState(e)
-	s.Ctr.SaveState(e)
-	s.MAC.SaveState(e)
-	s.BMT.SaveState(e)
-	e.Int(s.DRAMPending)
-	for i := range s.Events {
-		e.U64(s.Events[i])
+func walkSample(s *snapshot.State, sn *Snapshot) {
+	s.U64(&sn.Cycle)
+	s.U64(&sn.Instructions)
+	sn.Traffic.WalkState(s)
+	sn.L1.WalkState(s)
+	sn.L2.WalkState(s)
+	sn.Ctr.WalkState(s)
+	sn.MAC.WalkState(s)
+	sn.BMT.WalkState(s)
+	s.Int(&sn.DRAMPending)
+	for i := range sn.Events {
+		s.U64(&sn.Events[i])
 	}
 }
 
-func loadSample(d *snapshot.Decoder, s *Snapshot) {
-	s.Cycle = d.U64()
-	s.Instructions = d.U64()
-	s.Traffic.LoadState(d)
-	s.L1.LoadState(d)
-	s.L2.LoadState(d)
-	s.Ctr.LoadState(d)
-	s.MAC.LoadState(d)
-	s.BMT.LoadState(d)
-	s.DRAMPending = d.Int()
-	for i := range s.Events {
-		s.Events[i] = d.U64()
-	}
-}
-
-// SaveState writes the collector's full state.
-func (c *Collector) SaveState(e *snapshot.Encoder) {
-	e.U64(c.cfg.SampleInterval)
-	e.Bool(c.cfg.CaptureEvents)
-	e.Int(c.cfg.MaxEvents)
+// WalkState saves or restores the collector's full state. (Config.MaxEvents
+// is compared post-normalization: New maps 0 to DefaultMaxEvents on both
+// sides.)
+func (c *Collector) WalkState(s *snapshot.State) {
+	s.Match("telemetry sample interval", c.cfg.SampleInterval)
+	s.Match("telemetry event capture", c.cfg.CaptureEvents)
+	s.Match("telemetry max events", c.cfg.MaxEvents)
 	for i := range c.counts {
-		e.U64(c.counts[i])
+		s.U64(&c.counts[i])
 	}
-	c.DRAMQueueDepth.saveState(e)
-	c.DRAMServiceLatency.saveState(e)
-	c.MEEReadLatency.saveState(e)
-	c.UVMMigrationLatency.saveState(e)
-	c.UVMPrefetchBatch.saveState(e)
-	e.Int(len(c.events))
-	for i := range c.events {
-		saveEvent(e, &c.events[i])
-	}
-	e.U64(c.dropped)
-	e.U64(c.timeline.Interval)
-	e.Int(len(c.timeline.Samples))
-	for i := range c.timeline.Samples {
-		saveSample(e, &c.timeline.Samples[i])
-	}
-	e.U64(c.nextSampleAt)
-	e.U64(c.endCycle)
-	e.Bool(c.finished)
-}
-
-// LoadState restores state saved by SaveState into a same-configured
-// collector. (Config.MaxEvents is compared post-normalization: New maps
-// 0 to DefaultMaxEvents on both sides.)
-func (c *Collector) LoadState(d *snapshot.Decoder) error {
-	interval := d.U64()
-	capture := d.Bool()
-	maxEvents := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if interval != c.cfg.SampleInterval || capture != c.cfg.CaptureEvents || maxEvents != c.cfg.MaxEvents {
-		return fmt.Errorf("telemetry: snapshot collector config {%d %v %d} does not match target {%d %v %d}",
-			interval, capture, maxEvents, c.cfg.SampleInterval, c.cfg.CaptureEvents, c.cfg.MaxEvents)
-	}
-	for i := range c.counts {
-		c.counts[i] = d.U64()
-	}
-	c.DRAMQueueDepth.loadState(d)
-	c.DRAMServiceLatency.loadState(d)
-	c.MEEReadLatency.loadState(d)
-	c.UVMMigrationLatency.loadState(d)
-	c.UVMPrefetchBatch.loadState(d)
-	nEvents := d.Len()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	c.events = make([]Event, nEvents)
-	for i := range c.events {
-		loadEvent(d, &c.events[i])
-	}
-	c.dropped = d.U64()
-	c.timeline.Interval = d.U64()
-	nSamples := d.Len()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	c.timeline.Samples = make([]Snapshot, nSamples)
-	for i := range c.timeline.Samples {
-		loadSample(d, &c.timeline.Samples[i])
-	}
-	c.nextSampleAt = d.U64()
-	c.endCycle = d.U64()
-	c.finished = d.Bool()
-	return d.Err()
+	c.DRAMQueueDepth.walkState(s)
+	c.DRAMServiceLatency.walkState(s)
+	c.MEEReadLatency.walkState(s)
+	c.UVMMigrationLatency.walkState(s)
+	c.UVMPrefetchBatch.walkState(s)
+	snapshot.Slice(s, &c.events, walkEvent)
+	s.U64(&c.dropped)
+	s.U64(&c.timeline.Interval)
+	snapshot.Slice(s, &c.timeline.Samples, walkSample)
+	s.U64(&c.nextSampleAt)
+	s.U64(&c.endCycle)
+	s.Bool(&c.finished)
 }

@@ -4,15 +4,14 @@ import (
 	"fmt"
 	"hash/fnv"
 
-	"shmgpu/internal/memdef"
 	"shmgpu/internal/snapshot"
 )
 
 // Checkpoint/restore for benchmarks and their warp programs. Restore
 // protocol (driven by gpu.System): the target Bench is freshly built from
 // the same spec; System calls NewWarp for every warp in deterministic
-// order and immediately loads each program's state, then loads the Bench
-// state last — which overwrites the frontier that those NewWarp calls
+// order and immediately restores each program's state, then restores the
+// Bench state last — which overwrites the frontier that those NewWarp calls
 // populated with the captured one. Cold path only.
 
 // specFingerprint hashes the full spec (including the seed and every
@@ -24,113 +23,54 @@ func (b *Bench) specFingerprint() uint64 {
 	return h.Sum64()
 }
 
-// SaveState implements gpu.StatefulWorkload: the spec fingerprint plus
+// WalkState implements gpu.StatefulWorkload: the spec fingerprint plus
 // the mutable pacing state (everything else in Bench is immutable layout
 // derived from the spec).
-func (b *Bench) SaveState(e *snapshot.Encoder) {
-	e.U64(b.specFingerprint())
-	e.Int(b.frontierKernel)
-	e.Bool(b.frontier != nil)
-	if b.frontier == nil {
+func (b *Bench) WalkState(s *snapshot.State) {
+	s.Match("workload "+b.spec.BenchName+" spec/seed/grid fingerprint", b.specFingerprint())
+	s.Int(&b.frontierKernel)
+	has := b.frontier != nil
+	s.Bool(&has)
+	if !has {
+		b.frontier = nil
 		return
 	}
+	if s.Loading() {
+		b.frontier = &frontierState{}
+	}
 	f := b.frontier
-	e.Int(len(f.lanes))
-	for i := range f.lanes {
-		l := &f.lanes[i]
-		e.Int(len(l.counts))
-		for _, c := range l.counts {
-			e.Int(c)
+	snapshot.Slice(s, &f.lanes, func(s *snapshot.State, l *frontierLane) {
+		snapshot.Slice(s, &l.counts, (*snapshot.State).Int)
+		s.Int(&l.min)
+		s.Int(&l.warps)
+		if s.Loading() && (l.min < 0 || l.min >= len(l.counts) && len(l.counts) > 0) {
+			s.Failf("workload %s: frontier lane min %d out of range", b.spec.BenchName, l.min)
 		}
-		e.Int(l.min)
-		e.Int(l.warps)
-	}
-	e.Int(f.frozen)
-	e.Bool(f.synced)
+	})
+	s.Int(&f.frozen)
+	s.Bool(&f.synced)
 }
 
-// LoadState implements gpu.StatefulWorkload.
-func (b *Bench) LoadState(d *snapshot.Decoder) error {
-	fp := d.U64()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if fp != b.specFingerprint() {
-		return fmt.Errorf("workload %s: snapshot was taken with a different spec/seed/grid (fingerprint %#x, this benchmark %#x)",
-			b.spec.BenchName, fp, b.specFingerprint())
-	}
-	b.frontierKernel = d.Int()
-	if !d.Bool() {
-		b.frontier = nil
-		return d.Err()
-	}
-	nLanes := d.Len()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	f := &frontierState{lanes: make([]frontierLane, nLanes)}
-	for i := range f.lanes {
-		l := &f.lanes[i]
-		nCounts := d.Len()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		l.counts = make([]int, nCounts)
-		for j := range l.counts {
-			l.counts[j] = d.Int()
-		}
-		l.min = d.Int()
-		l.warps = d.Int()
-		if l.min < 0 || l.min >= len(l.counts) && len(l.counts) > 0 {
-			return fmt.Errorf("workload %s: frontier lane %d min %d out of range", b.spec.BenchName, i, l.min)
-		}
-	}
-	f.frozen = d.Int()
-	f.synced = d.Bool()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	b.frontier = f
-	return nil
-}
-
-// SaveState implements gpu.StatefulWarpProgram: the issue position, the
+// WalkState implements gpu.StatefulWarpProgram: the issue position, the
 // per-buffer cursors, and the RNG draw count. secBuf is scratch (only
 // valid between a generator call and the SM consuming the sectors, never
 // at a cycle boundary) and bench/warpIdx/lane/total are rebuilt by
-// NewWarp.
-func (p *program) SaveState(e *snapshot.Encoder) {
-	e.Int(p.issued)
-	e.Int(len(p.cursors))
-	for _, c := range p.cursors {
-		e.U64(uint64(c))
-	}
-	e.U64(p.rngSrc.n)
-}
-
-// LoadState implements gpu.StatefulWarpProgram on a program freshly
-// created by NewWarp: it overwrites the cursors and fast-forwards the
-// deterministic RNG to the captured draw count.
-func (p *program) LoadState(d *snapshot.Decoder) error {
-	p.issued = d.Int()
-	n := d.Len()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if n != len(p.cursors) {
-		return fmt.Errorf("workload: warp %d snapshot has %d cursors, program has %d", p.warpIdx, n, len(p.cursors))
-	}
+// NewWarp. Loading expects a program freshly created by NewWarp and
+// fast-forwards its deterministic RNG to the captured draw count.
+func (p *program) WalkState(s *snapshot.State) {
+	s.Int(&p.issued)
+	s.Match("warp cursors", len(p.cursors))
 	for i := range p.cursors {
-		p.cursors[i] = memdef.Addr(d.U64())
+		s.U64((*uint64)(&p.cursors[i]))
 	}
-	draws := d.U64()
-	if err := d.Err(); err != nil {
-		return err
+	draws := p.rngSrc.n
+	s.U64(&draws)
+	if s.Loading() {
+		if p.rngSrc.n > draws {
+			s.Failf("workload: warp %d RNG already at draw %d, snapshot wants %d (program not fresh)",
+				p.warpIdx, p.rngSrc.n, draws)
+			return
+		}
+		p.rngSrc.skipTo(draws)
 	}
-	if p.rngSrc.n > draws {
-		return fmt.Errorf("workload: warp %d RNG already at draw %d, snapshot wants %d (program not fresh)",
-			p.warpIdx, p.rngSrc.n, draws)
-	}
-	p.rngSrc.skipTo(draws)
-	return nil
 }
