@@ -46,11 +46,13 @@ func WalkMap[V any](s *snapshot.State, m *Map[V], val func(*snapshot.State, *V))
 			}
 		}
 		s.Int(&slot)
-		if s.Loading() && (slot < 0 || slot >= capN || m.used[slot]) {
-			s.Failf("flatmap: bad slot index %d for capacity %d", slot, capN)
-			return
+		if s.Loading() {
+			if slot < 0 || slot >= capN || m.used[slot] {
+				s.Failf("flatmap: bad slot index %d for capacity %d", slot, capN)
+				return
+			}
+			m.used[slot] = true
 		}
-		m.used[slot] = true
 		s.U64(&m.keys[slot])
 		val(s, &m.vals[slot])
 	}
