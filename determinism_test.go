@@ -2,49 +2,29 @@ package shmgpu_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 
 	"shmgpu"
-	"shmgpu/internal/telemetry"
+	"shmgpu/internal/experiments"
 )
 
-// runArtifacts captures everything a run exports that must be reproducible:
-// the marshaled stats.Registry snapshot and the full JSONL trace stream.
-type runArtifacts struct {
-	snapshot []byte
-	jsonl    []byte
-	cycles   uint64
-}
-
-func runOnce(t *testing.T, seed int64) runArtifacts {
+// runOnce runs atax/SHM at seed and renders everything a run exports that
+// must be reproducible. The rendered manifest carries no wall-clock field,
+// so the JSONL comparison tests the simulation stream, not the timestamps
+// around it.
+func runOnce(t *testing.T, seed int64) experiments.Artifacts {
 	t.Helper()
 	cfg := shmgpu.QuickConfig()
 	tcfg := shmgpu.TelemetryConfig{SampleInterval: 1000, CaptureEvents: true}
-	res, col, err := shmgpu.RunWithTelemetrySeeded(cfg, "atax", "SHM", seed, tcfg)
+	res, col, err := shmgpu.RunObservedSeeded(cfg, "atax", "SHM", seed, tcfg, nil)
 	if err != nil {
 		t.Fatalf("run failed: %v", err)
 	}
-	snap, err := json.Marshal(res.Reg.Snapshot())
+	a, err := experiments.Render(res, col, cfg, "determinism-test", seed)
 	if err != nil {
-		t.Fatalf("marshaling snapshot: %v", err)
+		t.Fatalf("rendering artifacts: %v", err)
 	}
-	// A fixed manifest (no wall-clock fields) so the JSONL comparison tests
-	// the simulation stream, not the timestamps around it.
-	m := shmgpu.Manifest{
-		Tool:          "determinism-test",
-		SchemaVersion: telemetry.SchemaVersion,
-		Workload:      "atax",
-		Scheme:        "SHM",
-		SMs:           cfg.SMs,
-		Partitions:    cfg.Partitions,
-		Seed:          seed,
-	}
-	var buf bytes.Buffer
-	if err := telemetry.WriteJSONL(&buf, col, shmgpu.Summarize(res), m); err != nil {
-		t.Fatalf("writing JSONL: %v", err)
-	}
-	return runArtifacts{snapshot: snap, jsonl: buf.Bytes(), cycles: res.Cycles}
+	return a
 }
 
 // TestRunsAreByteIdentical is the determinism regression gate: two
@@ -55,13 +35,8 @@ func runOnce(t *testing.T, seed int64) runArtifacts {
 func TestRunsAreByteIdentical(t *testing.T) {
 	first := runOnce(t, 424242)
 	second := runOnce(t, 424242)
-	if !bytes.Equal(first.snapshot, second.snapshot) {
-		t.Errorf("stats.Registry snapshots differ between identical runs:\nfirst:  %s\nsecond: %s",
-			first.snapshot, second.snapshot)
-	}
-	if !bytes.Equal(first.jsonl, second.jsonl) {
-		t.Errorf("JSONL export streams differ between identical runs (first %d bytes vs %d bytes)",
-			len(first.jsonl), len(second.jsonl))
+	for _, d := range first.Diff("first", second, "second") {
+		t.Error(d)
 	}
 }
 
@@ -70,8 +45,8 @@ func TestRunsAreByteIdentical(t *testing.T) {
 func TestSeedChangesTheRun(t *testing.T) {
 	a := runOnce(t, 7)
 	b := runOnce(t, 8)
-	if a.cycles == b.cycles && bytes.Equal(a.snapshot, b.snapshot) {
-		t.Errorf("seed 7 and seed 8 produced identical runs (%d cycles, same counters); seed is not reaching the workload",
-			a.cycles)
+	if a.Result == b.Result && bytes.Equal(a.Snapshot, b.Snapshot) {
+		t.Errorf("seed 7 and seed 8 produced identical runs (%s, same counters); seed is not reaching the workload",
+			a.Result)
 	}
 }

@@ -73,7 +73,7 @@ func TestForkMatchesScratch(t *testing.T) {
 					t.Fatalf("forked run: %v", err)
 				}
 				for i, spec := range specs {
-					forked := testutil.Collect(t, shmgpu.QuickConfig(), c.workload, c.scheme, c.seed, results[i], cols[i])
+					forked := testutil.Collect(t, shmgpu.QuickConfig(), c.seed, results[i], cols[i])
 					scratch := testutil.RunCell(t, c.workload, c.scheme, c.seed, spec.Shards, spec.DisableFastForward)
 					label := fmt.Sprintf("forked shards=%d ff=%v", spec.Shards, !spec.DisableFastForward)
 					testutil.AssertEqual(t, label, forked, "scratch", scratch)
@@ -131,7 +131,7 @@ func TestForkMatchesScratchOversubscribed(t *testing.T) {
 						scfg := cfg
 						scfg.ParallelShards = spec.Shards
 						scfg.DisableFastForward = spec.DisableFastForward
-						forked := testutil.Collect(t, cfg, "atax", "SHM", 1, results[i], cols[i])
+						forked := testutil.Collect(t, cfg, 1, results[i], cols[i])
 						scratch := testutil.RunCellCfg(t, scfg, "atax", "SHM", 1)
 						label := fmt.Sprintf("forked shards=%d ff=%v", spec.Shards, !spec.DisableFastForward)
 						testutil.AssertEqual(t, label, forked, "scratch", scratch)
@@ -169,7 +169,7 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RestoreRun: %v", err)
 	}
-	restored := testutil.Collect(t, cfg, "atax", "SHM", 1, res, col)
+	restored := testutil.Collect(t, cfg, 1, res, col)
 	scratch := testutil.RunCell(t, "atax", "SHM", 1, 0, false)
 	testutil.AssertEqual(t, "restored", restored, "scratch", scratch)
 
@@ -226,7 +226,7 @@ func TestSnapshotRejectsPageSizeMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RestoreRun: %v", err)
 	}
-	restored := testutil.Collect(t, cfg, "atax", "SHM", 1, res, col)
+	restored := testutil.Collect(t, cfg, 1, res, col)
 	scratch := testutil.RunCellCfg(t, cfg, "atax", "SHM", 1)
 	testutil.AssertEqual(t, "restored", restored, "scratch", scratch)
 }

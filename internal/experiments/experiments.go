@@ -128,33 +128,22 @@ func (r *Runner) runOn(worker int, wl string, sch scheme.Scheme, accuracy bool) 
 	}
 	r.mu.Unlock()
 
-	bench, err := workload.ByName(wl)
+	c, err := NewCell(r.cfg, wl, 0, sch)
 	if err != nil {
 		panic(err)
 	}
-	opts := sch.Options
-	opts.TrackAccuracy = accuracy
-	sys := gpu.NewSystem(r.cfg, opts)
-	var col *telemetry.Collector
+	c.Opts.TrackAccuracy = accuracy
 	if r.sink != nil {
-		col = telemetry.New(r.tcfg)
-		sys.AttachTelemetry(col)
+		c.Col = telemetry.New(r.tcfg)
 	}
-	orun := r.ops.BeginRun(k)
-	if orun != nil {
-		if worker >= 0 {
-			orun.Span().Annotate("worker", strconv.Itoa(worker))
-		}
-		sys.SetObserver(orun, 0)
-		sys.SetCancel(orun.CancelFlag())
+	c.Obs, c.Cancel = r.ops.BeginRun(k), true
+	if c.Obs != nil && worker >= 0 {
+		c.Obs.Span().Annotate("worker", strconv.Itoa(worker))
 	}
-	res := r.runSystem(sys, bench, wl, orun)
-	res.Scheme = sch.Name
-	if orun != nil {
-		orun.Done(res.Cycles, res.Completed)
-	}
+	res := r.runCell(c)
+	c.Obs.Done(res.Cycles, res.Completed)
 	if r.sink != nil && !res.Cancelled {
-		r.sink(res, col)
+		r.sink(res, c.Col)
 	}
 
 	r.mu.Lock()
@@ -163,37 +152,30 @@ func (r *Runner) runOn(worker int, wl string, sch scheme.Scheme, accuracy bool) 
 	return res
 }
 
-// runSystem executes one simulation, honouring the plane's abandon path:
+// runCell executes one simulation, honouring the plane's abandon path:
 // when the stall watchdog is armed to cancel, the simulation runs on its
 // own goroutine and the watchdog's abandon signal (plus a grace period for
 // the tick loop to notice the cancel flag) unblocks the sweep with a
 // placeholder Result marked Cancelled. A run that never reaches another
 // tick boundary leaks its goroutine — that is exactly the wedged state the
 // diagnostic bundle documents.
-func (r *Runner) runSystem(sys *gpu.System, bench gpu.Workload, wl string, orun *obs.Run) gpu.Result {
-	if orun == nil || !r.ops.CanCancel() {
-		return sys.Run(bench)
+func (r *Runner) runCell(c Cell) gpu.Result {
+	if c.Obs == nil || !r.ops.CanCancel() {
+		return c.Run()
 	}
 	ch := make(chan gpu.Result, 1)
-	go func() { ch <- sys.Run(bench) }() //shm:parallel-ok — joined via ch or deliberately abandoned on watchdog cancel
+	go func() { ch <- c.Run() }() //shm:parallel-ok — joined via ch or deliberately abandoned on watchdog cancel
 	select {
 	case res := <-ch:
 		return res
-	case <-orun.Abandoned():
+	case <-c.Obs.Abandoned():
 		select {
 		case res := <-ch:
 			return res
 		case <-time.After(r.ops.CancelGrace()):
-			return gpu.Result{Workload: wl, Cancelled: true}
+			return gpu.Result{Workload: c.Bench.Name(), Scheme: c.Scheme, Cancelled: true}
 		}
 	}
-}
-
-// job describes one simulation to prefetch.
-type job struct {
-	wl       string
-	sch      scheme.Scheme
-	accuracy bool
 }
 
 // Prefetch runs the given (workload × scheme) cross product on the shared
@@ -201,28 +183,27 @@ type job struct {
 // tick engine uses), filling the cache. Worker count comes from
 // SetWorkers, defaulting to runtime.NumCPU().
 func (r *Runner) Prefetch(schemes []scheme.Scheme, accuracy bool) {
-	var jobs []job
+	var tasks []func(worker int)
 	for _, wl := range r.workloads {
 		for _, sch := range schemes {
-			jobs = append(jobs, job{wl, sch, accuracy})
+			wl, sch := wl, sch
+			tasks = append(tasks, func(worker int) { r.runOn(worker, wl, sch, accuracy) })
 		}
 	}
-	if len(jobs) == 0 {
+	r.runTasks(tasks)
+}
+
+// runTasks runs tasks on a fixed pool of SetWorkers workers (default
+// runtime.NumCPU(), never more than there are tasks).
+func (r *Runner) runTasks(tasks []func(worker int)) {
+	if len(tasks) == 0 {
 		return
 	}
 	workers := r.workers
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	tasks := make([]func(worker int), len(jobs))
-	for i := range jobs {
-		j := jobs[i]
-		tasks[i] = func(worker int) { r.runOn(worker, j.wl, j.sch, j.accuracy) }
-	}
-	p := pool.New(workers)
+	p := pool.New(min(workers, len(tasks)))
 	defer p.Close()
 	p.RunTagged(tasks)
 }
@@ -547,16 +528,7 @@ func (r *Runner) FigOversub() *report.Table {
 			}
 		}
 	}
-	workers := r.workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	p := pool.New(workers)
-	p.RunTagged(tasks)
-	p.Close()
+	r.runTasks(tasks)
 
 	cols := []string{"benchmark", "scheme", "resident"}
 	for _, ratio := range oversubRatios {

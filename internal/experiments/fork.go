@@ -7,7 +7,6 @@ import (
 	"shmgpu/internal/scheme"
 	"shmgpu/internal/snapshot"
 	"shmgpu/internal/telemetry"
-	"shmgpu/internal/workload"
 )
 
 // Fork-based sweeps: warm one parent run to a cycle boundary, capture its
@@ -44,109 +43,52 @@ func RunForkedSeeded(cfg gpu.Config, wl string, seed int64, sch scheme.Scheme, w
 	if len(specs) == 0 {
 		return results, cols, nil
 	}
-	blob, _, err := warmSnapshot(cfg, wl, seed, sch, warmCycle, tcfg)
+	parent, err := instrumentedCell(cfg, wl, seed, sch, tcfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	if blob == nil {
-		for i, spec := range specs {
-			res, col, err := RunInstrumentedSeeded(applyFork(cfg, spec), wl, seed, sch, tcfg)
-			if err != nil {
-				return nil, nil, err
-			}
-			results[i], cols[i] = res, col
-		}
-		return results, cols, nil
+	blob, err := parent.Warm(warmCycle)
+	if err != nil {
+		return nil, nil, err
 	}
 	for i, spec := range specs {
-		res, col, err := resumeFromSnapshot(applyFork(cfg, spec), wl, seed, sch, tcfg, blob)
+		child, err := instrumentedCell(applyFork(cfg, spec), wl, seed, sch, tcfg)
 		if err != nil {
 			return nil, nil, err
 		}
-		results[i], cols[i] = res, col
+		if blob == nil {
+			results[i] = child.Run()
+		} else if results[i], err = child.Resume(blob); err != nil {
+			return nil, nil, err
+		}
+		cols[i] = child.Col
 	}
 	return results, cols, nil
 }
 
-// warmSnapshot runs the parent to warmCycle and serializes it. A nil blob
-// with nil error means the workload completed before the boundary (res
-// then holds the finished parent's result).
-func warmSnapshot(cfg gpu.Config, wl string, seed int64, sch scheme.Scheme, warmCycle uint64, tcfg telemetry.Config) ([]byte, gpu.Result, error) {
-	bench, err := workload.ByNameSeeded(wl, seed)
-	if err != nil {
-		return nil, gpu.Result{}, err
-	}
-	sys := gpu.NewSystem(cfg, sch.Options)
-	col := telemetry.New(tcfg)
-	sys.AttachTelemetry(col)
-	res, done := sys.RunUntil(bench, warmCycle)
-	if done {
-		res.Scheme = sch.Name
-		return nil, res, nil
-	}
-	enc := snapshot.NewEncoder()
-	err = sys.SaveState(enc, bench)
-	sys.Shutdown()
-	if err != nil {
-		return nil, gpu.Result{}, err
-	}
-	return enc.Data(), gpu.Result{}, nil
-}
-
-// resumeFromSnapshot restores blob into a fresh system under cfg and runs
-// it to completion.
-func resumeFromSnapshot(cfg gpu.Config, wl string, seed int64, sch scheme.Scheme, tcfg telemetry.Config, blob []byte) (gpu.Result, *telemetry.Collector, error) {
-	bench, err := workload.ByNameSeeded(wl, seed)
-	if err != nil {
-		return gpu.Result{}, nil, err
-	}
-	sys := gpu.NewSystem(cfg, sch.Options)
-	col := telemetry.New(tcfg)
-	sys.AttachTelemetry(col)
-	if err := sys.LoadState(snapshot.NewDecoder(blob), bench); err != nil {
-		return gpu.Result{}, nil, err
-	}
-	res := sys.Resume(bench)
-	res.Scheme = sch.Name
-	return res, col, nil
-}
-
-// RunForkedFamily is the Runner-level fork sweep: cells sharing a warmup
-// prefix — same (workload, scheme), differing only in execution-strategy
-// knobs — are produced from one warmed parent instead of one full run
-// each. Every result is byte-identical to a from-scratch run, so the
-// sequential fast-forward variant (the zero ForkSpec) also primes the
-// runner's figure cache for that cell.
-func (r *Runner) RunForkedFamily(wl string, sch scheme.Scheme, warmCycle uint64, specs []ForkSpec) ([]gpu.Result, error) {
-	results, _, err := RunForkedSeeded(r.cfg, wl, 0, sch, warmCycle, r.tcfg, specs)
-	if err != nil {
-		return nil, err
-	}
-	for i, spec := range specs {
-		if spec != (ForkSpec{}) {
-			continue
-		}
-		k := key(wl, sch, false)
-		r.mu.Lock()
-		if _, ok := r.cache[k]; !ok {
-			r.cache[k] = results[i]
-		}
-		r.mu.Unlock()
-	}
-	return results, nil
+// instrumentedCell is NewCell with a fresh collector of config tcfg: the
+// snapshot embeds the collector's state, so a capturing run and every run
+// restored from it are instrumented alike.
+func instrumentedCell(cfg gpu.Config, wl string, seed int64, sch scheme.Scheme, tcfg telemetry.Config) (Cell, error) {
+	c, err := NewCell(cfg, wl, seed, sch)
+	c.Col = telemetry.New(tcfg)
+	return c, err
 }
 
 // WriteSnapshotSeeded warms (workload, scheme) to warmCycle and writes the
 // captured state to path (checksummed, version-stamped, atomically
 // renamed into place — a killed writer never leaves a loadable file). It
 // reports whether a snapshot was written: a workload that completes
-// before warmCycle leaves nothing to capture, and a run cancelled by a
-// watchdog refuses to snapshot.
+// before warmCycle leaves nothing to capture.
 func WriteSnapshotSeeded(cfg gpu.Config, wl string, seed int64, sch scheme.Scheme, warmCycle uint64, tcfg telemetry.Config, path string) (bool, error) {
 	if warmCycle == 0 {
 		return false, fmt.Errorf("experiments: snapshot cycle must be positive")
 	}
-	blob, _, err := warmSnapshot(cfg, wl, seed, sch, warmCycle, tcfg)
+	c, err := instrumentedCell(cfg, wl, seed, sch, tcfg)
+	if err != nil {
+		return false, err
+	}
+	blob, err := c.Warm(warmCycle)
 	if err != nil || blob == nil {
 		return false, err
 	}
@@ -166,5 +108,13 @@ func RestoreRunSeeded(cfg gpu.Config, wl string, seed int64, sch scheme.Scheme, 
 	if err != nil {
 		return gpu.Result{}, nil, err
 	}
-	return resumeFromSnapshot(cfg, wl, seed, sch, tcfg, blob)
+	c, err := instrumentedCell(cfg, wl, seed, sch, tcfg)
+	if err != nil {
+		return gpu.Result{}, nil, err
+	}
+	res, err := c.Resume(blob)
+	if err != nil {
+		return gpu.Result{}, nil, err
+	}
+	return res, c.Col, nil
 }

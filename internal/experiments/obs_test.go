@@ -12,7 +12,6 @@ import (
 	"shmgpu/internal/gpu"
 	"shmgpu/internal/obs"
 	"shmgpu/internal/scheme"
-	"shmgpu/internal/secmem"
 	"shmgpu/internal/telemetry"
 )
 
@@ -33,10 +32,7 @@ func TestOpsPlaneDoesNotPerturbExports(t *testing.T) {
 	tcfg := telemetry.Config{SampleInterval: 5000, CaptureEvents: true}
 
 	export := func(orun *obs.Run) (plainRes gpu.Result, jsonl, prom []byte) {
-		res, col, err := RunObservedSeeded(QuickConfig(), "atax", 0, scheme.SHM, tcfg, orun)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res, col := observedRun(t, tcfg, orun)
 		sum := TelemetrySummary(res)
 		var jb, pb bytes.Buffer
 		if err := telemetry.WriteJSONL(&jb, col, sum, fixedManifest()); err != nil {
@@ -66,6 +62,20 @@ func TestOpsPlaneDoesNotPerturbExports(t *testing.T) {
 	if !bytes.Equal(plainProm, obsProm) {
 		t.Error("Prometheus export differs with ops plane attached")
 	}
+}
+
+// observedRun runs quick atax/SHM with a collector of config tcfg and
+// orun attached, the way a live sweep runs a cell.
+func observedRun(t *testing.T, tcfg telemetry.Config, orun *obs.Run) (gpu.Result, *telemetry.Collector) {
+	t.Helper()
+	c, err := NewCell(QuickConfig(), "atax", 0, scheme.SHM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Col, c.Obs, c.Cancel = telemetry.New(tcfg), orun, true
+	res := c.Run()
+	orun.Done(res.Cycles, res.Completed)
+	return res, c.Col
 }
 
 // wedgeWorkload is an injected stall: every warp's first instruction fetch
@@ -114,13 +124,11 @@ func TestWatchdogCancelsStalledCell(t *testing.T) {
 
 	r := NewRunner(QuickConfig(), []string{"atax"})
 	r.SetOps(p)
-	sys := gpu.NewSystem(QuickConfig(), secmem.Options{})
 	orun := p.BeginRun("wedge/cell")
-	sys.SetObserver(orun, 0)
-	sys.SetCancel(orun.CancelFlag())
+	c := Cell{Cfg: QuickConfig(), Bench: wl, Obs: orun, Cancel: true}
 
 	done := make(chan gpu.Result, 1)
-	go func() { done <- r.runSystem(sys, wl, "wedge", orun) }()
+	go func() { done <- r.runCell(c) }()
 	var res gpu.Result
 	select {
 	case res = <-done:
@@ -183,10 +191,7 @@ func TestMetricsEndpointMatchesBatchExport(t *testing.T) {
 	}
 
 	tcfg := telemetry.Config{SampleInterval: 5000}
-	res, col, err := RunObservedSeeded(QuickConfig(), "atax", 0, scheme.SHM, tcfg, p.BeginRun("atax/SHM"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, col := observedRun(t, tcfg, p.BeginRun("atax/SHM"))
 	sum := TelemetrySummary(res)
 	m := fixedManifest()
 	p.SetMetrics(func(w io.Writer) error { return telemetry.WritePrometheus(w, col, sum, m) })

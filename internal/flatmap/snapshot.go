@@ -1,6 +1,10 @@
 package flatmap
 
-import "shmgpu/internal/snapshot"
+import (
+	"fmt"
+
+	"shmgpu/internal/snapshot"
+)
 
 // This file serializes the physical table layout — capacity plus
 // (slot, key, value) triples for used slots — rather than a canonical
@@ -84,10 +88,78 @@ func WalkMultiMap[V any](s *snapshot.State, mm *MultiMap[V], val func(*snapshot.
 	s.I32(&mm.free)
 	s.Int(&mm.vals)
 	s.Bool(&mm.init)
-	// A never-initialized multimap is all zeros (free == 0 with an empty
-	// arena), so the free-head bound only applies once nodes exist.
-	if s.Loading() && (mm.free < -1 || (len(mm.nodes) > 0 && int(mm.free) >= len(mm.nodes)) ||
-		(len(mm.nodes) == 0 && mm.free > 0) || mm.vals < 0) {
-		s.Failf("flatmap: bad multimap free head %d or count %d (%d nodes)", mm.free, mm.vals, len(mm.nodes))
+	if s.Loading() && s.Err() == nil {
+		if err := mm.checkLinks(); err != nil {
+			s.Failf("flatmap: corrupt multimap: %v", err)
+		}
 	}
+}
+
+// checkLinks verifies a restored multimap's chains before Add or Drain
+// follows them: every link is inside the arena, each key's list runs from
+// its head to its tail and ends at -1, every node sits on exactly one
+// chain (a key's list or the free list, so no chain has a cycle), and
+// the queued count matches the nodes on key lists.
+func (mm *MultiMap[V]) checkLinks() error {
+	n := int32(len(mm.nodes))
+	if !mm.init {
+		// Add and Reset both initialize, so an uninitialized multimap is
+		// the zero value.
+		if n != 0 || mm.free != 0 || mm.vals != 0 || mm.m.Len() != 0 {
+			return fmt.Errorf("uninitialized multimap with %d nodes, %d keys, free head %d, count %d",
+				n, mm.m.Len(), mm.free, mm.vals)
+		}
+		return nil
+	}
+	seen := make([]bool, n)
+	queued := 0
+	for slot, used := range mm.m.used {
+		if !used {
+			continue
+		}
+		k, ref := mm.m.keys[slot], mm.m.vals[slot]
+		if ref.head < 1 || ref.head > n || ref.tail < 1 || ref.tail > n {
+			return fmt.Errorf("key %#x: list ends %d..%d outside the %d-node arena", k, ref.head-1, ref.tail-1, n)
+		}
+		last, length, err := mm.walkChain(ref.head-1, seen)
+		if err != nil {
+			return err
+		}
+		if last != ref.tail-1 {
+			return fmt.Errorf("key %#x: list ends at node %d, tail says %d", k, last, ref.tail-1)
+		}
+		queued += length
+	}
+	if _, _, err := mm.walkChain(mm.free, seen); err != nil {
+		return fmt.Errorf("free list: %v", err)
+	}
+	if queued != mm.vals {
+		return fmt.Errorf("%d nodes queued on key lists, count says %d", queued, mm.vals)
+	}
+	for i, ok := range seen {
+		if !ok {
+			return fmt.Errorf("node %d is on no chain", i)
+		}
+	}
+	return nil
+}
+
+// walkChain marks the chain starting at first in seen and returns its
+// last node (-1 for an empty chain) and its length. A node already marked
+// means the chain cycles or joins another one.
+func (mm *MultiMap[V]) walkChain(first int32, seen []bool) (last int32, length int, err error) {
+	n := int32(len(mm.nodes))
+	last = -1
+	for i := first; i != -1; i = mm.nodes[i].next {
+		if i < 0 || i >= n {
+			return 0, 0, fmt.Errorf("link %d outside the %d-node arena", i, n)
+		}
+		if seen[i] {
+			return 0, 0, fmt.Errorf("node %d is reached twice", i)
+		}
+		seen[i] = true
+		last = i
+		length++
+	}
+	return last, length, nil
 }

@@ -207,7 +207,10 @@ func shrunkSummary(c Case) string {
 	if err != nil {
 		return err.Error()
 	}
-	return truncate(string(data), 200)
+	if len(data) > 200 {
+		return string(data[:200]) + "..."
+	}
+	return string(data)
 }
 
 func writeFinding(dir string, n int, f Finding) error {

@@ -1,10 +1,9 @@
 package fuzz
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 
+	"shmgpu/internal/experiments"
 	"shmgpu/internal/gpu"
 	"shmgpu/internal/invariant"
 	"shmgpu/internal/memdef"
@@ -12,7 +11,6 @@ import (
 	"shmgpu/internal/obs"
 	"shmgpu/internal/scheme"
 	"shmgpu/internal/secmem"
-	"shmgpu/internal/snapshot"
 	"shmgpu/internal/stats"
 	"shmgpu/internal/telemetry"
 )
@@ -68,115 +66,61 @@ func DefaultCheckOptions() CheckOptions {
 	return CheckOptions{IPCTolerance: 0.10, MetaTolerance: 0.10}
 }
 
-// artifacts is everything observable about one run, in directly
-// byte-comparable form.
+// artifacts is one battery run: its Result (the metamorphic and
+// conservation oracles read it) and its byte-comparable rendering.
 type artifacts struct {
-	res   gpu.Result
-	line  string // rendered Result value fields
-	snap  []byte // stats-registry snapshot JSON
-	jsonl []byte // full telemetry JSONL export
+	res gpu.Result
+	experiments.Artifacts
 }
 
-// resultLine renders every Result value field (the Reg pointer is rendered
-// via its snapshot instead).
-func resultLine(res gpu.Result) string {
-	return fmt.Sprintf(
-		"cycles=%d insts=%d traffic=%+v l1=%+v l2=%+v ctr=%+v mac=%+v bmt=%+v ro=%+v stream=%+v bus=%.9f victim=%d/%d completed=%v",
-		res.Cycles, res.Instructions, res.Traffic, res.L1, res.L2,
-		res.Ctr, res.MAC, res.BMT, res.ROAccuracy, res.StreamAccuracy,
-		res.BusUtilization, res.VictimHits, res.VictimPushes, res.Completed)
-}
-
-// runArtifacts executes the cell once under the given options.
-// schemeLabel only names the run in exported artifacts (the ablation
-// oracle runs SHM-derived options under PSSM's label so the byte
-// comparison sees identical manifests). When sanitize is set the runtime
-// invariant sanitizer is armed for the run and its violations returned.
-// shards overrides the cell's ParallelShards for this run (0 = one
-// shard, inline); the parallel-equivalence oracle is the only caller
-// that passes a non-zero value, so every other oracle compares one-shard
-// runs.
-func (c Case) runArtifacts(orun *obs.Run, schemeLabel string, opts secmem.Options, disableFF, sanitize bool, shards int) (artifacts, []invariant.Violation, error) {
-	bench, err := c.Bench()
-	if err != nil {
-		return artifacts{}, nil, err
-	}
+// strategy is the cell's configuration under one execution strategy:
+// shards overrides the cell's ParallelShards (0 = one shard, inline).
+// The parallel- and fork-equivalence oracles are the only callers that
+// pass a non-zero value, so every other oracle compares one-shard runs.
+func (c Case) strategy(disableFF bool, shards int) gpu.Config {
 	cfg := c.GPUConfig()
 	cfg.DisableFastForward = disableFF
 	cfg.ParallelShards = shards
+	return cfg
+}
 
+// cell builds one battery run of the case under cfg. label only names
+// the run in exported artifacts (the ablation oracle runs SHM-derived
+// options under PSSM's label so the byte comparison sees identical
+// manifests).
+func (c Case) cell(label string, opts secmem.Options, cfg gpu.Config) (experiments.Cell, error) {
+	bench, err := c.Bench()
+	if err != nil {
+		return experiments.Cell{}, err
+	}
+	col := telemetry.New(telemetry.Config{SampleInterval: 500, CaptureEvents: true})
+	return experiments.Cell{Cfg: cfg, Bench: bench, Opts: opts, Scheme: label, Col: col}, nil
+}
+
+// render renders a finished battery run of cell into the form every
+// equivalence oracle diffs.
+func (c Case) render(cell experiments.Cell, res gpu.Result) (artifacts, error) {
+	a, err := experiments.Render(res, cell.Col, cell.Cfg, "shmfuzz", c.Seed)
+	return artifacts{res: res, Artifacts: a}, err
+}
+
+// runArtifacts executes the cell once under the given options. When
+// sanitize is set the runtime invariant sanitizer is armed for the run
+// and its violations returned. orun receives heartbeats and phase spans
+// only, never the cancel flag (see experiments.Cell.Cancel).
+func (c Case) runArtifacts(orun *obs.Run, label string, opts secmem.Options, disableFF, sanitize bool, shards int) (artifacts, []invariant.Violation, error) {
+	cell, err := c.cell(label, opts, c.strategy(disableFF, shards))
+	if err != nil {
+		return artifacts{}, nil, err
+	}
 	var collected []invariant.Violation
 	if sanitize {
 		restore := invariant.CollectInto(&collected)
 		defer restore()
 	}
-
-	col := telemetry.New(telemetry.Config{SampleInterval: 500, CaptureEvents: true})
-	sys := gpu.NewSystem(cfg, opts)
-	sys.AttachTelemetry(col)
-	if orun != nil {
-		// Heartbeats and phase spans only — never the cancel flag: a run
-		// cancelled mid-battery would poison the byte comparisons, so the
-		// fuzz watchdog is strictly dump-only.
-		sys.SetObserver(orun, 0)
-	}
-	res := sys.Run(bench)
-	res.Scheme = schemeLabel
-
-	arts, err := c.renderArtifacts(res, col, cfg, schemeLabel)
-	if err != nil {
-		return artifacts{}, nil, err
-	}
-	return arts, collected, nil
-}
-
-// renderArtifacts renders one finished run into the byte-comparable form
-// every equivalence oracle diffs.
-func (c Case) renderArtifacts(res gpu.Result, col *telemetry.Collector, cfg gpu.Config, schemeLabel string) (artifacts, error) {
-	snap, err := json.Marshal(res.Reg.Snapshot())
-	if err != nil {
-		return artifacts{}, err
-	}
-	m := telemetry.Manifest{
-		Tool:          "shmfuzz",
-		SchemaVersion: telemetry.SchemaVersion,
-		Workload:      res.Workload,
-		Scheme:        schemeLabel,
-		SMs:           cfg.SMs,
-		Partitions:    cfg.Partitions,
-		Seed:          c.Seed,
-	}
-	var buf bytes.Buffer
-	if err := telemetry.WriteJSONL(&buf, col, summarize(res), m); err != nil {
-		return artifacts{}, err
-	}
-	return artifacts{res: res, line: resultLine(res), snap: snap, jsonl: buf.Bytes()}, nil
-}
-
-// resumeArtifacts restores a snapshot blob into a fresh system under the
-// child's execution strategy and runs it to completion. The fresh
-// collector and bench mirror a from-scratch run exactly, so the rendered
-// artifacts diff byte-for-byte against the scratch side. This is the fuzz
-// battery's own inline fork path (the package deliberately does not
-// import experiments; see summarize).
-func (c Case) resumeArtifacts(schemeLabel string, opts secmem.Options, blob []byte, disableFF bool, shards int) (artifacts, error) {
-	bench, err := c.Bench()
-	if err != nil {
-		return artifacts{}, err
-	}
-	cfg := c.GPUConfig()
-	cfg.DisableFastForward = disableFF
-	cfg.ParallelShards = shards
-
-	col := telemetry.New(telemetry.Config{SampleInterval: 500, CaptureEvents: true})
-	sys := gpu.NewSystem(cfg, opts)
-	sys.AttachTelemetry(col)
-	if err := sys.LoadState(snapshot.NewDecoder(blob), bench); err != nil {
-		return artifacts{}, err
-	}
-	res := sys.Resume(bench)
-	res.Scheme = schemeLabel
-	return c.renderArtifacts(res, col, cfg, schemeLabel)
+	cell.Obs = orun
+	arts, err := c.render(cell, cell.Run())
+	return arts, collected, err
 }
 
 // forkEquivalence is the checkpoint/fork oracle: warm one run of the cell
@@ -191,26 +135,16 @@ func (c Case) forkEquivalence(schemeName string, opts secmem.Options, ff, ref ar
 	if warmCycle == 0 {
 		return nil, nil
 	}
-	bench, err := c.Bench()
+	parent, err := c.cell(schemeName, opts, c.GPUConfig())
 	if err != nil {
 		return nil, err
 	}
-	cfg := c.GPUConfig()
-	col := telemetry.New(telemetry.Config{SampleInterval: 500, CaptureEvents: true})
-	sys := gpu.NewSystem(cfg, opts)
-	sys.AttachTelemetry(col)
-	if _, done := sys.RunUntil(bench, warmCycle); done {
-		// The workload completed before the fork point: nothing to fork,
-		// and nothing to check — a fallback scratch run is scratch.
-		return nil, nil
-	}
-	enc := snapshot.NewEncoder()
-	err = sys.SaveState(enc, bench)
-	sys.Shutdown()
-	if err != nil {
+	// A nil blob means the workload completed before the fork point:
+	// nothing to fork, and nothing to check.
+	blob, err := parent.Warm(warmCycle)
+	if err != nil || blob == nil {
 		return nil, err
 	}
-	blob := enc.Data()
 
 	var vs []Violation
 	for _, child := range []struct {
@@ -219,7 +153,15 @@ func (c Case) forkEquivalence(schemeName string, opts secmem.Options, ff, ref ar
 	}{
 		{false, 1}, {false, 4}, {true, 1}, {true, 4},
 	} {
-		got, err := c.resumeArtifacts(schemeName, opts, blob, child.disableFF, child.shards)
+		cell, err := c.cell(schemeName, opts, c.strategy(child.disableFF, child.shards))
+		if err != nil {
+			return nil, err
+		}
+		res, err := cell.Resume(blob)
+		if err != nil {
+			return nil, err
+		}
+		got, err := c.render(cell, res)
 		if err != nil {
 			return nil, err
 		}
@@ -233,53 +175,11 @@ func (c Case) forkEquivalence(schemeName string, opts secmem.Options, ff, ref ar
 	return vs, nil
 }
 
-// summarize mirrors experiments.TelemetrySummary without importing the
-// experiments package (which would drag the full figure harness into
-// every fuzz worker).
-func summarize(res gpu.Result) telemetry.RunSummary {
-	return telemetry.RunSummary{
-		Workload:       res.Workload,
-		Scheme:         res.Scheme,
-		Cycles:         res.Cycles,
-		Instructions:   res.Instructions,
-		IPC:            res.IPC(),
-		Completed:      res.Completed,
-		BusUtilization: res.BusUtilization,
-		Traffic:        res.Traffic,
-		Caches: []telemetry.NamedCache{
-			{Name: "l1", Stats: res.L1},
-			{Name: "l2", Stats: res.L2},
-			{Name: "ctr_mdc", Stats: res.Ctr},
-			{Name: "mac_mdc", Stats: res.MAC},
-			{Name: "bmt_mdc", Stats: res.BMT},
-		},
-		RO:       res.ROAccuracy,
-		Stream:   res.StreamAccuracy,
-		Counters: res.Reg.Snapshot(),
-	}
-}
-
-func truncate(s string, n int) string {
-	if len(s) <= n {
-		return s
-	}
-	return s[:n] + "..."
-}
-
 // diffArtifacts byte-compares two runs that must be indistinguishable.
 func diffArtifacts(oracle, schemeName, aName, bName string, a, b artifacts) []Violation {
 	var vs []Violation
-	if a.line != b.line {
-		vs = append(vs, Violation{Oracle: oracle, Scheme: schemeName, Detail: fmt.Sprintf(
-			"Result diverges:\n%s: %s\n%s: %s", aName, truncate(a.line, 400), bName, truncate(b.line, 400))})
-	}
-	if !bytes.Equal(a.snap, b.snap) {
-		vs = append(vs, Violation{Oracle: oracle, Scheme: schemeName, Detail: fmt.Sprintf(
-			"stats snapshots diverge:\n%s: %s\n%s: %s", aName, truncate(string(a.snap), 400), bName, truncate(string(b.snap), 400))})
-	}
-	if !bytes.Equal(a.jsonl, b.jsonl) {
-		vs = append(vs, Violation{Oracle: oracle, Scheme: schemeName, Detail: fmt.Sprintf(
-			"telemetry JSONL diverges (%d vs %d bytes)", len(a.jsonl), len(b.jsonl))})
+	for _, d := range a.Diff(aName, b.Artifacts, bName) {
+		vs = append(vs, Violation{Oracle: oracle, Scheme: schemeName, Detail: d})
 	}
 	return vs
 }

@@ -356,18 +356,11 @@ func (m *MEE) InputReadOnlyReset(lo, hi memdef.Addr) {
 }
 
 // HostOverwrite models a mid-context host→device copy WITHOUT the reset
-// API: the touched regions lose their read-only status.
+// API: the touched regions lose their read-only status, exactly as under
+// a migration, and the transitions are counted as ro_transition_host.
 func (m *MEE) HostOverwrite(lo, hi memdef.Addr) {
-	if !m.cfg.Enabled || hi <= lo {
-		return
-	}
-	for a := memdef.RegionAddr(lo); a < hi; a += memdef.RegionSize {
-		if m.roPred.OnWrite(a) {
-			m.Reg.Inc("ro_transition_host")
-		}
-		if m.roOracle != nil {
-			delete(m.roOracle, uint64(a)/m.cfg.ReadOnly.RegionBytes)
-		}
+	if n := m.MigrationOverwrite(lo, hi); n > 0 {
+		m.Reg.Add("ro_transition_host", n)
 	}
 }
 

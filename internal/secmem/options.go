@@ -73,7 +73,10 @@ type Config struct {
 	Streaming detectors.StreamingConfig
 	// AESLatency is the OTP generation latency in cycles.
 	AESLatency uint64
-	// HashLatency is the MAC/hash engine latency in cycles.
+	// HashLatency is the paper's MAC/hash engine latency in cycles. No
+	// timing path reads it (MAC verification is off the critical path);
+	// it stays because the snapshot fingerprint hashes this struct with
+	// %+v, so removing it would change every snapshot's fingerprint.
 	HashLatency uint64
 	// InputQueue bounds requests accepted from the L2 banks.
 	InputQueue int

@@ -65,12 +65,25 @@ func (p *program) WalkState(s *snapshot.State) {
 	}
 	draws := p.rngSrc.n
 	s.U64(&draws)
-	if s.Loading() {
-		if p.rngSrc.n > draws {
-			s.Failf("workload: warp %d RNG already at draw %d, snapshot wants %d (program not fresh)",
-				p.warpIdx, p.rngSrc.n, draws)
-			return
-		}
-		p.rngSrc.skipTo(draws)
+	if !s.Loading() {
+		return
 	}
+	// Restoring replays every draw, so an implausible count must fail
+	// before the replay instead of spinning on it. The bound doubles the
+	// generators' maximum to leave room for rejection-sampling redraws.
+	if total := p.bench.spec.MemInstsPerWarp; p.issued < 0 || p.issued > total {
+		s.Failf("workload: warp %d issued %d of %d instructions", p.warpIdx, p.issued, total)
+		return
+	}
+	if limit := 2 * maxDrawsPerInst * uint64(p.issued); draws > limit {
+		s.Failf("workload: warp %d claims %d RNG draws for %d instructions (at most %d)",
+			p.warpIdx, draws, p.issued, limit)
+		return
+	}
+	if p.rngSrc.n > draws {
+		s.Failf("workload: warp %d RNG already at draw %d, snapshot wants %d (program not fresh)",
+			p.warpIdx, p.rngSrc.n, draws)
+		return
+	}
+	p.rngSrc.skipTo(draws)
 }

@@ -64,7 +64,7 @@ func (p *program) Next() (int, gpu.MemInst, bool) {
 	case Stencil:
 		inst.Sectors = p.stencilSectors(bi, pb)
 	case Random:
-		inst.Sectors = p.randomSectors(pb, 4)
+		inst.Sectors = p.randomSectors(pb, randomLookups)
 	case Gather:
 		inst.Sectors = p.gatherSectors(pb)
 	}
@@ -121,6 +121,16 @@ func (p *program) stencilSectors(bi int, pb *placedBuffer) []memdef.Addr {
 	}
 	return out
 }
+
+// randomLookups is the number of sectors one Random instruction touches.
+const randomLookups = 4
+
+// maxDrawsPerInst is the most RNG values one Next call draws: two per
+// random sector (block, then sector) plus the compute jitter. Gather
+// draws three per lookup for two lookups, and the streaming patterns
+// draw none. math/rand's rejection sampling may redraw on top of this,
+// with probability below 2^-30 per call.
+const maxDrawsPerInst = 2*randomLookups + 1
 
 // randomSectors returns n poorly-coalesced uniformly random sectors.
 func (p *program) randomSectors(pb *placedBuffer, n int) []memdef.Addr {

@@ -100,35 +100,32 @@ type RunSummary = telemetry.RunSummary
 // Manifest identifies one run in every telemetry export.
 type Manifest = telemetry.Manifest
 
-// RunWithTelemetry simulates one workload under one design with the
+// RunObservedSeeded simulates one workload under one design with the
 // observability layer attached: probe events, latency histograms and an
-// interval-sampled timeline accumulate in the returned Collector.
-func RunWithTelemetry(cfg Config, workloadName, schemeName string, tcfg TelemetryConfig) (Result, *Collector, error) {
-	return RunWithTelemetrySeeded(cfg, workloadName, schemeName, 0, tcfg)
-}
-
-// RunWithTelemetrySeeded is RunWithTelemetry with an explicit workload
-// seed. Seed 0 keeps the benchmark's built-in seed; any other value
-// rebases the warp programs' random streams. Runs with identical
-// (config, workload, scheme, seed) are bit-for-bit reproducible.
-func RunWithTelemetrySeeded(cfg Config, workloadName, schemeName string, seed int64, tcfg TelemetryConfig) (Result, *Collector, error) {
-	sch, err := scheme.ByName(schemeName)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	return experiments.RunInstrumentedSeeded(cfg, workloadName, seed, sch, tcfg)
-}
-
-// RunObservedSeeded is RunWithTelemetrySeeded with a live-observability
-// run handle attached (see internal/obs): the simulator feeds the run's
-// heartbeat and phase spans and honours its cancel flag. A nil orun is
-// exactly RunWithTelemetrySeeded.
+// interval-sampled timeline accumulate in the returned Collector. Seed 0
+// keeps the benchmark's built-in seed; any other value rebases the warp
+// programs' random streams, and runs with identical (config, workload,
+// scheme, seed) are bit-for-bit reproducible. A non-nil orun (see
+// internal/obs) also receives the run's heartbeat and phase spans, and
+// its cancel flag is honoured; observation never changes a result.
 func RunObservedSeeded(cfg Config, workloadName, schemeName string, seed int64, tcfg TelemetryConfig, orun *obs.Run) (Result, *Collector, error) {
-	sch, err := scheme.ByName(schemeName)
+	c, err := cell(cfg, workloadName, schemeName, seed)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	return experiments.RunObservedSeeded(cfg, workloadName, seed, sch, tcfg, orun)
+	c.Col, c.Obs, c.Cancel = telemetry.New(tcfg), orun, true
+	res := c.Run()
+	orun.Done(res.Cycles, res.Completed)
+	return res, c.Col, nil
+}
+
+// cell resolves a (workload, scheme, seed) triple into a runnable cell.
+func cell(cfg Config, workloadName, schemeName string, seed int64) (experiments.Cell, error) {
+	sch, err := scheme.ByName(schemeName)
+	if err != nil {
+		return experiments.Cell{}, err
+	}
+	return experiments.NewCell(cfg, workloadName, seed, sch)
 }
 
 // ForkSpec selects one forked child's execution strategy (shard count and
@@ -185,17 +182,11 @@ func Run(cfg Config, workloadName, schemeName string) (Result, error) {
 // RunSeeded is Run with an explicit workload seed (0 keeps the
 // benchmark's built-in seed).
 func RunSeeded(cfg Config, workloadName, schemeName string, seed int64) (Result, error) {
-	bench, err := workload.ByNameSeeded(workloadName, seed)
+	c, err := cell(cfg, workloadName, schemeName, seed)
 	if err != nil {
 		return Result{}, err
 	}
-	sch, err := scheme.ByName(schemeName)
-	if err != nil {
-		return Result{}, err
-	}
-	res := gpu.NewSystem(cfg, sch.Options).Run(bench)
-	res.Scheme = sch.Name
-	return res, nil
+	return c.Run(), nil
 }
 
 // EffectiveSeed resolves the seed a run with the given workload and seed
